@@ -5,6 +5,7 @@
 
 #include <array>
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <mutex>
 
@@ -38,27 +39,57 @@ PageIndex Arena::page_of(const void* addr) const {
 }
 
 namespace {
-void do_protect(std::uint8_t* p, int prot) {
-  NOW_CHECK_EQ(::mprotect(p, kPageSize, prot), 0) << "mprotect failed";
+
+struct ProtInfo {
+  int flags;
+  const char* name;
+};
+// Indexed by Arena::Prot.
+constexpr ProtInfo kProtInfo[] = {
+    {PROT_NONE, "PROT_NONE"},
+    {PROT_READ, "PROT_READ"},
+    {PROT_READ | PROT_WRITE, "PROT_READ|PROT_WRITE"},
+};
+const ProtInfo& prot_info(Arena::Prot prot) {
+  return kProtInfo[static_cast<std::size_t>(prot)];
 }
+
+// Every run of equal protection inside the arena mapping is its own kernel
+// VMA, so a fragmented page table can exhaust the per-process map count
+// long before memory runs out; mprotect then fails with ENOMEM.
+const char* enomem_hint(int err) {
+  return err == ENOMEM
+             ? " (each run of equal protection in the arena is its own VMA:"
+               " raise vm.max_map_count, default 65530, or shrink heap_bytes)"
+             : "";
+}
+
 }  // namespace
 
-void Arena::protect_none(std::uint32_t node, PageIndex page) const {
-  do_protect(page_ptr(node, page), PROT_NONE);
-}
-void Arena::protect_read(std::uint32_t node, PageIndex page) const {
-  do_protect(page_ptr(node, page), PROT_READ);
-}
-void Arena::protect_rw(std::uint32_t node, PageIndex page) const {
-  do_protect(page_ptr(node, page), PROT_READ | PROT_WRITE);
+void Arena::protect_range(std::uint32_t node, PageIndex first,
+                          std::size_t count, Prot prot) const {
+  mprotect_calls_.fetch_add(1, std::memory_order_relaxed);
+  const ProtInfo& info = prot_info(prot);
+  if (::mprotect(page_ptr(node, first), count * kPageSize, info.flags) == 0)
+    return;
+  const int err = errno;
+  NOW_CHECK(false) << "mprotect(" << info.name << ") of node " << node
+                   << " pages [" << first << ", " << first + count
+                   << ") failed: " << std::strerror(err) << enomem_hint(err);
 }
 
 void Arena::reset_region(std::uint32_t node) const {
   std::uint8_t* base = region_base(node);
-  NOW_CHECK_EQ(::mprotect(base, heap_bytes_, PROT_NONE), 0)
-      << "region reset mprotect failed";
-  NOW_CHECK_EQ(::madvise(base, heap_bytes_, MADV_DONTNEED), 0)
-      << "region reset madvise failed";
+  if (::mprotect(base, heap_bytes_, PROT_NONE) != 0) {
+    const int err = errno;
+    NOW_CHECK(false) << "region reset mprotect(PROT_NONE) of node " << node
+                     << " failed: " << std::strerror(err) << enomem_hint(err);
+  }
+  if (::madvise(base, heap_bytes_, MADV_DONTNEED) != 0) {
+    const int err = errno;
+    NOW_CHECK(false) << "region reset madvise of node " << node
+                     << " failed: " << std::strerror(err);
+  }
 }
 
 namespace fault {

@@ -9,6 +9,7 @@
 // tracks modifications only).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -39,10 +40,26 @@ class Arena {
   std::uint32_t node_of(const void* addr) const;
   PageIndex page_of(const void* addr) const;
 
-  // mprotect helpers for one page of one node's region.
-  void protect_none(std::uint32_t node, PageIndex page) const;
-  void protect_read(std::uint32_t node, PageIndex page) const;
-  void protect_rw(std::uint32_t node, PageIndex page) const;
+  enum class Prot : std::uint8_t { kNone, kRead, kReadWrite };
+
+  // One mprotect over `count` consecutive pages of one node's region, from
+  // `first`.  Every page-state protection change of the protocol goes
+  // through here (reset_region aside), so mprotect_calls() counts the
+  // simulator's page-table syscalls.
+  void protect_range(std::uint32_t node, PageIndex first, std::size_t count,
+                     Prot prot) const;
+  void protect_none(std::uint32_t node, PageIndex page) const {
+    protect_range(node, page, 1, Prot::kNone);
+  }
+  void protect_read(std::uint32_t node, PageIndex page) const {
+    protect_range(node, page, 1, Prot::kRead);
+  }
+  void protect_rw(std::uint32_t node, PageIndex page) const {
+    protect_range(node, page, 1, Prot::kReadWrite);
+  }
+  std::uint64_t mprotect_calls() const {
+    return mprotect_calls_.load(std::memory_order_relaxed);
+  }
 
   // Crash recovery: returns one node's whole region to its initial state —
   // PROT_NONE, contents zero on next touch — without committing memory
@@ -59,6 +76,7 @@ class Arena {
   std::size_t heap_bytes_;
   std::size_t total_bytes_;
   std::uint8_t* base_;
+  mutable std::atomic<std::uint64_t> mprotect_calls_{0};
 };
 
 // Registry consulted by the SIGSEGV handler.  Installation is process-wide

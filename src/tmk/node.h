@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "simnet/clock.h"
 #include "simnet/network.h"
+#include "tmk/arena.h"
 #include "tmk/config.h"
 #include "tmk/diff.h"
 #include "tmk/intervals.h"
@@ -118,7 +119,15 @@ class Node {
   // Computes diff(twin, current) into the diff store and drops the twin.
   // Caller holds entry.mu; page must be readable.
   void materialize_twin(PageIndex page, PageEntry& entry);
-  void invalidate_page(PageIndex page, PageEntry& entry);  // holds entry.mu
+  // Visits `pages` (ascending, unique) in order, each under its mutex, and
+  // sets `prot` on every page for which select(page, entry) returns true,
+  // with one mprotect per maximal run of consecutive selected pages.  A
+  // selected page stays locked until its run is protected, so no thread
+  // sees its new state before its new protection; a run's mutexes are taken
+  // in ascending page order.
+  template <typename Select>
+  void protect_runs(const std::vector<PageIndex>& pages, Arena::Prot prot,
+                    Select select);
 
   // ---------- barrier-time GC (compute thread, on barrier departure) ----------
   // Applies the manager's piggybacked minimal vector time: truncates the
@@ -509,8 +518,8 @@ class Node {
   std::atomic<std::uint32_t> gc_gen_seen_{0};
   std::uint32_t gc_gen_requested_ = 0;
   // O(1) footprint mirrors for the ceiling check: the diff store's payload
-  // bytes, and the sum of every page diff cache's bytes (bound via
-  // PageDiffCache::bind_total at construction).
+  // bytes, and the sum of every page diff cache's bytes (passed to each
+  // PageDiffCache mutation, which keeps it in step).
   std::atomic<std::size_t> diff_store_bytes_{0};
   std::atomic<std::size_t> diff_cache_total_bytes_{0};
   // Pages holding relay-retained chunks (compute thread only; deduplicated

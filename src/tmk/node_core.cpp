@@ -23,9 +23,7 @@ Node::Node(DsmRuntime& rt, std::uint32_t id)
       gc_floor_validated_(num_nodes_, 0),
       mgr_(num_nodes_),
       tree_sent_up_vt_(num_nodes_, 0),
-      stress_rng_(rt.config().stress_seed + id) {
-  for (PageEntry& e : pages_) e.diff_cache.bind_total(&diff_cache_total_bytes_);
-}
+      stress_rng_(rt.config().stress_seed + id) {}
 
 Node::~Node() = default;
 
@@ -49,6 +47,42 @@ void Node::sync_cpu() {
 // ---------------------------------------------------------------------------
 // Consistency engine
 // ---------------------------------------------------------------------------
+
+template <typename Select>
+void Node::protect_runs(const std::vector<PageIndex>& pages, Arena::Prot prot,
+                        Select select) {
+  // The open run is pages [first, first + len), every one of them locked;
+  // its destructor unlocks whatever is still held on an exceptional exit.
+  struct Run {
+    std::vector<PageEntry>& entries;
+    PageIndex first = 0;
+    std::size_t len = 0;
+    void unlock() {
+      for (std::size_t i = 0; i < len; ++i) entries[first + i].mu.unlock();
+      len = 0;
+    }
+    ~Run() { unlock(); }
+  } run{pages_};
+  auto flush = [&] {
+    if (run.len == 0) return;
+    rt_.arena().protect_range(id_, run.first, run.len, prot);
+    run.unlock();
+  };
+  for (PageIndex page : pages) {
+    if (run.len > 0 && page != run.first + run.len) flush();
+    PageEntry& e = pages_[page];
+    std::unique_lock<std::mutex> lock(e.mu);
+    if (select(page, e)) {
+      lock.release();  // now held by the run
+      if (run.len == 0) run.first = page;
+      ++run.len;
+    } else {
+      lock.unlock();
+      flush();
+    }
+  }
+  flush();
+}
 
 void Node::close_interval() {
   if (dirty_pages_.empty()) return;
@@ -76,17 +110,14 @@ void Node::close_interval() {
     for (PageIndex page : dirty_pages_) epoch_dirty_[page].push_back(rec_seq);
 
   // Write-protect the interval's dirty pages so later writes fault and
-  // materialize this interval's diff before starting a new twin.
-  for (PageIndex page : dirty_pages_) {
-    PageEntry& e = pages_[page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    if (e.state == PageState::kWritable) {
-      rt_.arena().protect_read(id_, page);
-      e.state = PageState::kReadOnly;
-    }
-    // kInvalid: the page was invalidated mid-interval; its partial diff is
-    // already in the store under this interval's seq.
-  }
+  // materialize this interval's diff before starting a new twin.  A page
+  // invalidated mid-interval (kInvalid) is skipped: its partial diff is
+  // already in the store under this interval's seq.
+  protect_runs(dirty_pages_, Arena::Prot::kRead, [](PageIndex, PageEntry& e) {
+    if (e.state != PageState::kWritable) return false;
+    e.state = PageState::kReadOnly;
+    return true;
+  });
   dirty_pages_.clear();
   // Interval bookkeeping (mprotect syscalls) is protocol work, not app
   // compute; close_interval only ever runs on the compute thread.
@@ -101,42 +132,45 @@ void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
     std::lock_guard<std::mutex> lock(meta_mu_);
     fresh = log_.merge(recs);
   }
+  // Page-major order, so that runs of consecutive invalidated pages share
+  // one mprotect.  The stable sort keeps a page's notices in record order.
+  std::vector<std::pair<PageIndex, const IntervalRecord*>> notices;
   for (const IntervalRecordPtr& recp : fresh) {
-    const IntervalRecord& rec = *recp;
-    NOW_CHECK_NE(rec.node, id_) << "merged a record we authored";
-    for (PageIndex page : rec.pages) {
-      PageEntry& e = pages_[page];
-      std::lock_guard<std::mutex> lock(e.mu);
-      e.unapplied.push_back({rec.node, rec.seq, rec.lamport});
-      if (e.state != PageState::kInvalid) invalidate_page(page, e);
-      // An armed page is already kInvalid; a fresh notice still stales its
-      // applied-and-current contents.
-      e.push_armed = false;
-      e.lock_push_armed = false;
-    }
+    NOW_CHECK_NE(recp->node, id_) << "merged a record we authored";
+    for (PageIndex page : recp->pages) notices.emplace_back(page, recp.get());
   }
+  std::stable_sort(notices.begin(), notices.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<PageIndex> pages;
+  for (const auto& [page, rec] : notices)
+    if (pages.empty() || pages.back() != page) pages.push_back(page);
+
+  std::size_t next = 0;
+  protect_runs(pages, Arena::Prot::kNone, [&](PageIndex page, PageEntry& e) {
+    for (; next < notices.size() && notices[next].first == page; ++next) {
+      const IntervalRecord& rec = *notices[next].second;
+      e.unapplied.push_back({rec.node, rec.seq, rec.lamport});
+    }
+    // An armed page is already kInvalid; a fresh notice still stales its
+    // applied-and-current contents.
+    e.push_armed = false;
+    e.lock_push_armed = false;
+    if (e.state == PageState::kInvalid) return false;
+    materialize_twin(page, e);  // no-op without a twin; the page is mapped
+    e.state = PageState::kInvalid;
+    stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  });
   // Seed the GC validation scan with the pages that just gained notices
   // (consumed whenever a floor is applied: barriers and fork points).
-  if (!fresh.empty() && rt_.config().gc_floors_enabled()) {
+  if (rt_.config().gc_floors_enabled()) {
     std::lock_guard<std::mutex> lock(gc_scan_mu_);
-    for (const IntervalRecordPtr& recp : fresh)
-      gc_scan_pages_.insert(gc_scan_pages_.end(), recp->pages.begin(),
-                            recp->pages.end());
+    gc_scan_pages_.insert(gc_scan_pages_.end(), pages.begin(), pages.end());
   }
   // Invalidation mprotects are protocol work, not application compute; when
   // running on the compute thread, keep them out of the meter.  (The service
   // thread also merges — flush/fork/join — but never owns the meter.)
   if (detail::region_base() == rt_.arena().region_base(id_)) cpu_meter_.rebase();
-}
-
-void Node::invalidate_page(PageIndex page, PageEntry& e) {
-  NOW_CHECK(e.state != PageState::kInvalid);
-  materialize_twin(page, e);  // no-op without a twin
-  rt_.arena().protect_none(id_, page);
-  e.state = PageState::kInvalid;
-  e.push_armed = false;  // armed contents are no longer current
-  e.lock_push_armed = false;
-  stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Node::materialize_twin(PageIndex page, PageEntry& e) {

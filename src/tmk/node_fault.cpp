@@ -250,7 +250,8 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
         for (const DiffChunkView& v : it->second)
           owned.emplace_back(v.first, v.first + v.second);
         filled |= qe.diff_cache.insert(writer, seq, std::move(owned),
-                                       cache_budget, /*prefetched=*/true);
+                                       cache_budget, diff_cache_total_bytes_,
+                                       /*prefetched=*/true);
       }
       if (filled)
         stats_.prefetch_pages_filled.fetch_add(1, std::memory_order_relaxed);
@@ -305,7 +306,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       // applied, so no grant delta can ever name them again, and a stale
       // pin would leak pinned bytes forever.
       if (!retain || cached->pinned) {
-        e.diff_cache.erase(n.writer, n.seq);
+        e.diff_cache.erase(n.writer, n.seq, diff_cache_total_bytes_);
       } else {
         // Retained for the relay: mark it so the prune pass can find (and
         // eventually drop) it once a grant or exchange floor covers it.
@@ -314,7 +315,8 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     }
     bool kept_any = false;
     for (auto& [n, owned] : keep) {
-      if (e.diff_cache.insert(n->writer, n->seq, std::move(owned), cache_budget)) {
+      if (e.diff_cache.insert(n->writer, n->seq, std::move(owned), cache_budget,
+                              diff_cache_total_bytes_)) {
         e.diff_cache.mark_relay(n->writer, n->seq);
         kept_any = true;
       }

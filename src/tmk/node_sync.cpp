@@ -425,7 +425,8 @@ void Node::gc_validate_pages(const VectorTime& floor) {
           owned.reserve(it->second.size());
           for (const DiffChunkView& v : it->second)
             owned.emplace_back(v.first, v.first + v.second);
-          e.diff_cache.insert_gc(writer, seq, std::move(owned));
+          e.diff_cache.insert_gc(writer, seq, std::move(owned),
+                                 diff_cache_total_bytes_);
         }
       }
       if (e.diff_cache.bytes() <= cache_budget) continue;  // stay lazy
@@ -447,7 +448,7 @@ void Node::gc_validate_pages(const VectorTime& floor) {
           patched += diff_apply(mem, kPageSize, d);
           ++applied;
         }
-        e.diff_cache.erase(n.writer, n.seq);
+        e.diff_cache.erase(n.writer, n.seq, diff_cache_total_bytes_);
       } else {
         auto it = got.find({w.page, n.writer, n.seq});
         NOW_CHECK(it != got.end())
@@ -583,7 +584,7 @@ void Node::relay_prune(const VectorTime& floor) {
   for (PageIndex page : relay_pages_) {
     PageEntry& e = pages_[page];
     std::lock_guard<std::mutex> lock(e.mu);
-    chunks += e.diff_cache.prune_below(floor, &bytes);
+    chunks += e.diff_cache.prune_below(floor, diff_cache_total_bytes_, &bytes);
     if (e.diff_cache.relay_bytes() > 0) keep.push_back(page);
   }
   relay_pages_ = std::move(keep);
@@ -924,7 +925,8 @@ void Node::update_validate_pushed(std::uint64_t barrier_index) {
       for (auto& [seq, chunks] : pp.seq_chunks)
         any_kept |=
             e.diff_cache.insert(pp.writer, seq, std::move(chunks), cache_budget,
-                                /*prefetched=*/false, /*pushed=*/true);
+                                diff_cache_total_bytes_, /*prefetched=*/false,
+                                /*pushed=*/true);
     }
     --i;  // the for-loop's ++i re-advances past this page's run
     if (!any_kept) {
@@ -972,7 +974,7 @@ void Node::update_validate_pushed(std::uint64_t barrier_index) {
         patched += diff_apply(mem, kPageSize, d);
         ++applied;
       }
-      e.diff_cache.erase(n.writer, n.seq);
+      e.diff_cache.erase(n.writer, n.seq, diff_cache_total_bytes_);
     }
     e.unapplied.clear();
     e.ever_valid = true;
@@ -1657,8 +1659,8 @@ void Node::apply_lock_push(std::uint32_t lock_id, std::uint32_t writer,
     bool any_kept = false;
     for (auto& [wtr, seq, chunks] : wire)
       any_kept |= e.diff_cache.insert(wtr, seq, std::move(chunks),
-                                      cache_budget, /*prefetched=*/false,
-                                      /*pushed=*/true);
+                                      cache_budget, diff_cache_total_bytes_,
+                                      /*prefetched=*/false, /*pushed=*/true);
     // Retained entries on this lock-protected page are relay stock: mark
     // them so the prune pass can drop them once a floor covers them
     // (mark_relay no-ops on budget-rejected keys).
@@ -1706,7 +1708,8 @@ void Node::apply_lock_push(std::uint32_t lock_id, std::uint32_t writer,
       // as on the fault path — their seqs are below the GC floor, so no
       // grant delta can ever name them again and a stale pin would leak
       // pinned bytes forever.
-      if (cached->pinned) e.diff_cache.erase(un.writer, un.seq);
+      if (cached->pinned)
+        e.diff_cache.erase(un.writer, un.seq, diff_cache_total_bytes_);
     }
     e.unapplied.clear();
     finish(e, page, arm);

@@ -1,12 +1,11 @@
 // Per-node page table entries for the DSM protocol.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "tmk/config.h"
@@ -74,13 +73,16 @@ inline bool applies_before(const UnappliedNotice& a, const UnappliedNotice& b) {
 //    second application.
 class PageDiffCache {
  public:
-  // Mirrors every bytes_ change into a node-wide counter (a relaxed atomic
-  // owned by the Node), so the on-demand GC's ceiling check can read the
-  // cluster of per-page caches in O(1) instead of walking the page table on
-  // every sync operation.  Bound once at Node construction.
-  void bind_total(std::atomic<std::size_t>* total) { total_ = total; }
+  // The node-wide mirror of every page cache's bytes (a relaxed atomic owned
+  // by the Node), so the on-demand GC's ceiling check reads the cluster of
+  // per-page caches in O(1) instead of walking the page table on every sync
+  // operation.  Every mutator that changes bytes() takes it and keeps it in
+  // step; the cache itself holds no pointer to it.
+  using Total = std::atomic<std::size_t>;
 
   struct Entry {
+    std::uint32_t writer = 0;
+    std::uint32_t seq = 0;
     std::vector<DiffBytes> chunks;
     bool pinned = false;      // exempt from FIFO eviction (barrier-GC)
     bool prefetched = false;  // arrived via multi-page prefetch (stats only)
@@ -89,10 +91,10 @@ class PageDiffCache {
   };
 
   // Entry for (writer, seq), or nullptr if not cached.  The pointer stays
-  // valid until the next insert().
+  // valid until the next insert, erase or prune.
   const Entry* lookup(std::uint32_t writer, std::uint32_t seq) const {
-    auto it = map_.find(key(writer, seq));
-    return it == map_.end() ? nullptr : &it->second;
+    auto it = locate(writer, seq);
+    return it == entries_.end() ? nullptr : &*it;
   }
   // Chunks for (writer, seq), or nullptr if not cached.
   const std::vector<DiffBytes>* find(std::uint32_t writer, std::uint32_t seq) const {
@@ -106,30 +108,26 @@ class PageDiffCache {
   // if the entry resides in the cache afterwards.
   bool insert(std::uint32_t writer, std::uint32_t seq,
               std::vector<DiffBytes> chunks, std::size_t budget_bytes,
-              bool prefetched = false, bool pushed = false) {
-    const std::uint64_t k = key(writer, seq);
-    if (map_.count(k)) return true;
-    std::size_t sz = 0;
-    for (const DiffBytes& c : chunks) sz += c.size();
+              Total& total, bool prefetched = false, bool pushed = false) {
+    if (locate(writer, seq) != entries_.end()) return true;
+    const std::size_t sz = size_of(chunks);
     if (sz > budget_bytes) return false;
-    while (bytes_ + sz > budget_bytes && !order_.empty()) {
-      auto victim = map_.find(order_.front());
-      order_.pop_front();
-      // A key may be stale (erased, or promoted to pinned since): skip it.
-      if (victim == map_.end() || victim->second.pinned) continue;
-      std::size_t vsz = 0;
-      for (const DiffBytes& c : victim->second.chunks) vsz += c.size();
-      sub_bytes(vsz);
-      if (victim->second.relayed) relay_bytes_ -= vsz;
-      map_.erase(victim);
+    for (auto it = entries_.begin();
+         bytes_ + sz > budget_bytes && it != entries_.end();) {
+      if (it->pinned) {
+        ++it;
+        continue;
+      }
+      drop(*it, total);
+      it = entries_.erase(it);
     }
     // Pins alone may already exceed the budget (insert_gc bypasses it, the
     // GC pass rebalances at the next barrier): a droppable entry must not
     // land on top of that, or the cache would grow to pins + budget.
     if (bytes_ + sz > budget_bytes) return false;
-    add_bytes(sz);
-    order_.push_back(k);
-    map_.emplace(k, Entry{std::move(chunks), /*pinned=*/false, prefetched, pushed});
+    add_bytes(sz, total);
+    entries_.push_back(Entry{writer, seq, std::move(chunks), /*pinned=*/false,
+                             prefetched, pushed, /*relayed=*/false});
     return true;
   }
 
@@ -137,18 +135,17 @@ class PageDiffCache {
   // immune to eviction: the barrier-GC pass stores diffs whose writer is
   // about to reclaim them, so evicting one before it is applied would lose
   // the only remaining copy.  An existing budgeted copy of the same key is
-  // promoted to pinned in place (its FIFO key goes stale), so a pin can
-  // never be evicted no matter how the entry first arrived.
+  // promoted to pinned in place, so a pin can never be evicted no matter how
+  // the entry first arrived.
   void insert_gc(std::uint32_t writer, std::uint32_t seq,
-                 std::vector<DiffBytes> chunks) {
+                 std::vector<DiffBytes> chunks, Total& total) {
     if (pin_existing(writer, seq)) return;  // same key => same chunk content
-    std::size_t sz = 0;
-    for (const DiffBytes& c : chunks) sz += c.size();
-    add_bytes(sz);
+    const std::size_t sz = size_of(chunks);
+    add_bytes(sz, total);
     pinned_bytes_ += sz;
-    // Deliberately not queued in order_, so the eviction loop never sees it.
-    map_.emplace(key(writer, seq), Entry{std::move(chunks), /*pinned=*/true,
-                                         /*prefetched=*/false, /*pushed=*/false});
+    entries_.push_back(Entry{writer, seq, std::move(chunks), /*pinned=*/true,
+                             /*prefetched=*/false, /*pushed=*/false,
+                             /*relayed=*/false});
   }
 
   // Promotes an already-held entry to pinned (no-op on pins).  The GC
@@ -157,38 +154,33 @@ class PageDiffCache {
   // changes — after the writer reclaims, eviction would lose the only copy.
   // Returns false if the key is absent.
   bool pin_existing(std::uint32_t writer, std::uint32_t seq) {
-    auto it = map_.find(key(writer, seq));
-    if (it == map_.end()) return false;
-    if (!it->second.pinned) {
-      it->second.pinned = true;  // its FIFO key goes stale
-      for (const DiffBytes& c : it->second.chunks) pinned_bytes_ += c.size();
+    auto it = locate(writer, seq);
+    if (it == entries_.end()) return false;
+    if (!it->pinned) {
+      it->pinned = true;
+      pinned_bytes_ += size_of(it->chunks);
     }
     return true;
   }
 
-  // Drops the entry for (writer, seq) if present (a stale key may linger in
-  // the FIFO order; the eviction loop tolerates that).  Used to release an
-  // entry once its chunks have been applied — an applied interval is never
-  // wanted again.
-  void erase(std::uint32_t writer, std::uint32_t seq) {
-    auto it = map_.find(key(writer, seq));
-    if (it == map_.end()) return;
-    std::size_t sz = 0;
-    for (const DiffBytes& c : it->second.chunks) sz += c.size();
-    sub_bytes(sz);
-    if (it->second.pinned) pinned_bytes_ -= sz;
-    if (it->second.relayed) relay_bytes_ -= sz;
-    map_.erase(it);
+  // Drops the entry for (writer, seq) if present.  Used to release an entry
+  // once its chunks have been applied — an applied interval is never wanted
+  // again.
+  void erase(std::uint32_t writer, std::uint32_t seq, Total& total) {
+    auto it = locate(writer, seq);
+    if (it == entries_.end()) return;
+    drop(*it, total);
+    entries_.erase(it);
   }
 
   // Marks an already-held entry as retained for the migratory lock relay
   // (provenance + byte accounting; no eviction-class change — relay
   // retention is droppable by contract, its writer still holds the diff).
   void mark_relay(std::uint32_t writer, std::uint32_t seq) {
-    auto it = map_.find(key(writer, seq));
-    if (it == map_.end() || it->second.relayed) return;
-    it->second.relayed = true;
-    for (const DiffBytes& c : it->second.chunks) relay_bytes_ += c.size();
+    auto it = locate(writer, seq);
+    if (it == entries_.end() || it->relayed) return;
+    it->relayed = true;
+    relay_bytes_ += size_of(it->chunks);
   }
 
   // Drops every unpinned entry whose interval the floor covers: validation
@@ -197,63 +189,83 @@ class PageDiffCache {
   // be relayed again — keeping it would be the FIFO-forever leak.  Pins are
   // exempt (they are the *only* copy until applied).  Returns the number of
   // entries dropped and adds their bytes to *bytes_pruned.
-  std::size_t prune_below(const VectorTime& floor, std::size_t* bytes_pruned) {
-    std::size_t dropped = 0;
-    for (auto it = map_.begin(); it != map_.end();) {
-      const std::uint32_t writer = static_cast<std::uint32_t>(it->first >> 32);
-      const std::uint32_t seq = static_cast<std::uint32_t>(it->first);
-      if (it->second.pinned || writer >= floor.size() || seq > floor[writer]) {
-        ++it;
-        continue;
-      }
-      std::size_t sz = 0;
-      for (const DiffBytes& c : it->second.chunks) sz += c.size();
-      sub_bytes(sz);
-      if (it->second.relayed) relay_bytes_ -= sz;
-      if (bytes_pruned != nullptr) *bytes_pruned += sz;
-      ++dropped;
-      it = map_.erase(it);  // its FIFO key goes stale; eviction tolerates it
-    }
-    return dropped;
+  std::size_t prune_below(const VectorTime& floor, Total& total,
+                          std::size_t* bytes_pruned) {
+    const std::size_t before = entries_.size();
+    entries_.erase(
+        std::remove_if(entries_.begin(), entries_.end(),
+                       [&](const Entry& e) {
+                         if (e.pinned || e.writer >= floor.size() ||
+                             e.seq > floor[e.writer])
+                           return false;
+                         const std::size_t sz = drop(e, total);
+                         if (bytes_pruned != nullptr) *bytes_pruned += sz;
+                         return true;
+                       }),
+        entries_.end());
+    return before - entries_.size();
   }
 
   std::size_t bytes() const { return bytes_; }
   std::size_t pinned_bytes() const { return pinned_bytes_; }
   std::size_t relay_bytes() const { return relay_bytes_; }
-  std::size_t entries() const { return map_.size(); }
+  std::size_t entries() const { return entries_.size(); }
 
  private:
-  static std::uint64_t key(std::uint32_t writer, std::uint32_t seq) {
-    return (static_cast<std::uint64_t>(writer) << 32) | seq;
+  // A page's cache holds a handful of entries, so a linear scan is enough;
+  // and an empty vector, unlike a deque, allocates nothing, which keeps an
+  // untouched page free of heap memory.
+  static auto key_is(std::uint32_t writer, std::uint32_t seq) {
+    return [=](const Entry& e) { return e.writer == writer && e.seq == seq; };
   }
-  void add_bytes(std::size_t n) {
+  std::vector<Entry>::iterator locate(std::uint32_t writer, std::uint32_t seq) {
+    return std::find_if(entries_.begin(), entries_.end(), key_is(writer, seq));
+  }
+  std::vector<Entry>::const_iterator locate(std::uint32_t writer,
+                                            std::uint32_t seq) const {
+    return std::find_if(entries_.begin(), entries_.end(), key_is(writer, seq));
+  }
+  static std::size_t size_of(const std::vector<DiffBytes>& chunks) {
+    std::size_t sz = 0;
+    for (const DiffBytes& c : chunks) sz += c.size();
+    return sz;
+  }
+  void add_bytes(std::size_t n, Total& total) {
     bytes_ += n;
-    if (total_ != nullptr) total_->fetch_add(n, std::memory_order_relaxed);
+    total.fetch_add(n, std::memory_order_relaxed);
   }
-  void sub_bytes(std::size_t n) {
-    bytes_ -= n;
-    if (total_ != nullptr) total_->fetch_sub(n, std::memory_order_relaxed);
+  // Releases an entry's bytes from every counter it is part of; the caller
+  // removes the entry itself.  Returns the entry's bytes.
+  std::size_t drop(const Entry& e, Total& total) {
+    const std::size_t sz = size_of(e.chunks);
+    bytes_ -= sz;
+    total.fetch_sub(sz, std::memory_order_relaxed);
+    if (e.pinned) pinned_bytes_ -= sz;
+    if (e.relayed) relay_bytes_ -= sz;
+    return sz;
   }
-  std::unordered_map<std::uint64_t, Entry> map_;
-  std::deque<std::uint64_t> order_;  // insertion order, for FIFO eviction
+
+  // Insertion order is FIFO order: eviction walks from the front, skipping
+  // pins.
+  std::vector<Entry> entries_;
   std::size_t bytes_ = 0;
   std::size_t pinned_bytes_ = 0;  // subset of bytes_ held by pinned entries
   std::size_t relay_bytes_ = 0;   // subset of bytes_ retained for the relay
-  std::atomic<std::size_t>* total_ = nullptr;  // node-wide mirror of bytes_
 };
 
+// One per page per node, whether or not the program touches the page, so
+// the fields are ordered widest first and the one-byte flags share a single
+// tail word; every member is empty without a heap allocation until the page
+// is used.
 struct PageEntry {
   // Serializes page-state transitions between the node's compute thread
   // (faults, invalidations) and its service thread (diff materialization).
   std::mutex mu;
 
-  PageState state = PageState::kInvalid;
-  bool ever_valid = false;  // false => local copy is the initial zero page
-
   // Twin for the currently writable / pending interval (at most one; older
-  // intervals' diffs are already materialized in the diff store).
+  // intervals' diffs are already materialized in the diff store).  Valid
+  // only while `twin_valid`.
   PendingTwin twin;
-  bool twin_valid = false;
 
   // Write notices to apply at the next fault, sorted on use by lamport.
   std::vector<UnappliedNotice> unapplied;
@@ -262,17 +274,6 @@ struct PageEntry {
   PageDiffCache diff_cache;
 
   // ---- adaptive update protocol, reader side (guarded by mu) ----
-  // Armed: every wanted diff has been applied and the contents are current,
-  // but the page is deliberately left unmapped so the next access faults
-  // once, locally — the liveness probe of the update protocol.  The probe
-  // fault sets `push_touched`; an armed page still untouched when the next
-  // barrier's demotion scan runs is evidence the reader stopped using the
-  // data, and demotes it at the writers.
-  bool push_armed = false;
-  // Any fault on the page since the last barrier's demotion scan (cheap
-  // proxy for "the reader still uses this data"; reads of a valid page are
-  // invisible, which is exactly what the armed probe exists to sample).
-  bool push_touched = false;
   // Writers whose pushes landed since the last demotion scan (bitmask by
   // node id; kUpdateDeny targets).
   std::uint64_t pushed_by = 0;
@@ -280,6 +281,22 @@ struct PageEntry {
   // (every update_reprobe_epochs-th push — the ones in between validate
   // outright).  Reset on demotion.
   std::uint32_t pushes_since_probe = 0;
+
+  PageState state = PageState::kInvalid;
+  bool ever_valid = false;  // false => local copy is the initial zero page
+  bool twin_valid = false;
+
+  // Update protocol.  Armed: every wanted diff has been applied and the
+  // contents are current, but the page is deliberately left unmapped so the
+  // next access faults once, locally — the liveness probe of the update
+  // protocol.  The probe fault sets `push_touched`; an armed page still
+  // untouched when the next barrier's demotion scan runs is evidence the
+  // reader stopped using the data, and demotes it at the writers.
+  bool push_armed = false;
+  // Any fault on the page since the last barrier's demotion scan (cheap
+  // proxy for "the reader still uses this data"; reads of a valid page are
+  // invisible, which is exactly what the armed probe exists to sample).
+  bool push_touched = false;
 
   // ---- migratory lock push, holder side (guarded by mu) ----
   // Armed by a lock-grant push: contents current, page deliberately left

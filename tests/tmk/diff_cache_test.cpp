@@ -6,7 +6,9 @@
 // zero and traffic must be identical to a run with the cache disabled.
 // (With GC enabled the cache is load-bearing; tmk_gc_test covers that.)
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include "tmk/arena.h"
 #include "tmk/tmk.h"
 
 namespace now::tmk {
@@ -16,8 +18,9 @@ DiffBytes chunk(std::size_t n, std::uint8_t fill) { return DiffBytes(n, fill); }
 
 TEST(PageDiffCache, MissThenHit) {
   PageDiffCache c;
+  PageDiffCache::Total total{0};
   EXPECT_EQ(c.find(1, 1), nullptr);
-  c.insert(1, 1, {chunk(10, 0xaa)}, 1024);
+  c.insert(1, 1, {chunk(10, 0xaa)}, 1024, total);
   const auto* got = c.find(1, 1);
   ASSERT_NE(got, nullptr);
   ASSERT_EQ(got->size(), 1u);
@@ -28,9 +31,10 @@ TEST(PageDiffCache, MissThenHit) {
 
 TEST(PageDiffCache, DistinctWritersAndSeqsAreDistinctKeys) {
   PageDiffCache c;
-  c.insert(1, 1, {chunk(4, 1)}, 1024);
-  c.insert(1, 2, {chunk(4, 2)}, 1024);
-  c.insert(2, 1, {chunk(4, 3)}, 1024);
+  PageDiffCache::Total total{0};
+  c.insert(1, 1, {chunk(4, 1)}, 1024, total);
+  c.insert(1, 2, {chunk(4, 2)}, 1024, total);
+  c.insert(2, 1, {chunk(4, 3)}, 1024, total);
   EXPECT_EQ((*c.find(1, 1))[0][0], 1);
   EXPECT_EQ((*c.find(1, 2))[0][0], 2);
   EXPECT_EQ((*c.find(2, 1))[0][0], 3);
@@ -38,18 +42,20 @@ TEST(PageDiffCache, DistinctWritersAndSeqsAreDistinctKeys) {
 
 TEST(PageDiffCache, InsertIsIdempotent) {
   PageDiffCache c;
-  c.insert(1, 1, {chunk(8, 1)}, 1024);
-  c.insert(1, 1, {chunk(8, 9)}, 1024);  // duplicate key: first copy wins
+  PageDiffCache::Total total{0};
+  c.insert(1, 1, {chunk(8, 1)}, 1024, total);
+  c.insert(1, 1, {chunk(8, 9)}, 1024, total);  // duplicate key: first copy wins
   EXPECT_EQ((*c.find(1, 1))[0][0], 1);
   EXPECT_EQ(c.bytes(), 8u);
 }
 
 TEST(PageDiffCache, FifoEvictionUnderBudget) {
   PageDiffCache c;
-  c.insert(1, 1, {chunk(40, 1)}, 100);
-  c.insert(1, 2, {chunk(40, 2)}, 100);
+  PageDiffCache::Total total{0};
+  c.insert(1, 1, {chunk(40, 1)}, 100, total);
+  c.insert(1, 2, {chunk(40, 2)}, 100, total);
   EXPECT_EQ(c.bytes(), 80u);
-  c.insert(1, 3, {chunk(40, 3)}, 100);  // evicts the oldest, (1,1)
+  c.insert(1, 3, {chunk(40, 3)}, 100, total);  // evicts the oldest, (1,1)
   EXPECT_EQ(c.find(1, 1), nullptr);
   ASSERT_NE(c.find(1, 2), nullptr);
   ASSERT_NE(c.find(1, 3), nullptr);
@@ -58,8 +64,9 @@ TEST(PageDiffCache, FifoEvictionUnderBudget) {
 
 TEST(PageDiffCache, OversizedEntryIsNotCached) {
   PageDiffCache c;
-  c.insert(1, 1, {chunk(50, 1)}, 100);
-  c.insert(1, 2, {chunk(200, 2)}, 100);  // bigger than the whole budget
+  PageDiffCache::Total total{0};
+  c.insert(1, 1, {chunk(50, 1)}, 100, total);
+  c.insert(1, 2, {chunk(200, 2)}, 100, total);  // bigger than the whole budget
   EXPECT_EQ(c.find(1, 2), nullptr);
   ASSERT_NE(c.find(1, 1), nullptr);  // and nothing was evicted for it
   EXPECT_EQ(c.bytes(), 50u);
@@ -67,47 +74,158 @@ TEST(PageDiffCache, OversizedEntryIsNotCached) {
 
 TEST(PageDiffCache, MultiChunkEntryCountsAllBytes) {
   PageDiffCache c;
-  c.insert(3, 7, {chunk(10, 1), chunk(20, 2)}, 1024);
+  PageDiffCache::Total total{0};
+  c.insert(3, 7, {chunk(10, 1), chunk(20, 2)}, 1024, total);
   EXPECT_EQ(c.bytes(), 30u);
   ASSERT_EQ(c.find(3, 7)->size(), 2u);
 }
 
 TEST(PageDiffCache, GcInsertIgnoresBudgetAndEviction) {
   PageDiffCache c;
-  c.insert_gc(1, 1, {chunk(500, 1)});  // far beyond any budget given below
+  PageDiffCache::Total total{0};
+  c.insert_gc(1, 1, {chunk(500, 1)}, total);  // far beyond any budget given below
   ASSERT_NE(c.find(1, 1), nullptr);
   EXPECT_EQ(c.bytes(), 500u);
   // FIFO inserts under a budget the pinned entry already exceeds must not
   // evict it: only FIFO-ordered entries are eviction victims.
-  c.insert(2, 1, {chunk(40, 2)}, 100);
-  c.insert(2, 2, {chunk(40, 3)}, 100);
-  c.insert(2, 3, {chunk(40, 4)}, 100);
+  c.insert(2, 1, {chunk(40, 2)}, 100, total);
+  c.insert(2, 2, {chunk(40, 3)}, 100, total);
+  c.insert(2, 3, {chunk(40, 4)}, 100, total);
   ASSERT_NE(c.find(1, 1), nullptr);  // pin survived
   EXPECT_EQ(c.find(2, 1), nullptr);  // FIFO entries evicted among themselves
 }
 
 TEST(PageDiffCache, GcInsertPromotesFifoEntryToPinned) {
   PageDiffCache c;
-  c.insert(1, 1, {chunk(40, 1)}, 100);   // budgeted, evictable
-  c.insert_gc(1, 1, {chunk(40, 1)});     // same key: must become a pin
+  PageDiffCache::Total total{0};
+  c.insert(1, 1, {chunk(40, 1)}, 100, total);   // budgeted, evictable
+  c.insert_gc(1, 1, {chunk(40, 1)}, total);     // same key: must become a pin
   // Enough FIFO churn to evict anything still in eviction order.
-  c.insert(2, 1, {chunk(40, 2)}, 100);
-  c.insert(2, 2, {chunk(40, 3)}, 100);
-  c.insert(2, 3, {chunk(40, 4)}, 100);
-  ASSERT_NE(c.find(1, 1), nullptr);  // survived: promotion un-FIFO'd it
+  c.insert(2, 1, {chunk(40, 2)}, 100, total);
+  c.insert(2, 2, {chunk(40, 3)}, 100, total);
+  c.insert(2, 3, {chunk(40, 4)}, 100, total);
+  ASSERT_NE(c.find(1, 1), nullptr);  // survived: promotion exempted it
 }
 
 TEST(PageDiffCache, EraseReleasesEntry) {
   PageDiffCache c;
-  c.insert_gc(1, 1, {chunk(100, 1)});
-  c.insert(2, 1, {chunk(10, 2)}, 1024);
-  c.erase(1, 1);
-  c.erase(9, 9);  // absent: no-op
+  PageDiffCache::Total total{0};
+  c.insert_gc(1, 1, {chunk(100, 1)}, total);
+  c.insert(2, 1, {chunk(10, 2)}, 1024, total);
+  c.erase(1, 1, total);
+  c.erase(9, 9, total);  // absent: no-op
   EXPECT_EQ(c.find(1, 1), nullptr);
   EXPECT_EQ(c.bytes(), 10u);
   EXPECT_EQ(c.entries(), 1u);
-  c.erase(2, 1);  // FIFO entry: stale key may linger in order, bytes must not
+  c.erase(2, 1, total);
   EXPECT_EQ(c.bytes(), 0u);
+  EXPECT_EQ(total.load(), 0u);
+}
+
+TEST(PageDiffCache, EraseThenReinsertEvictsInTrueInsertionOrder) {
+  PageDiffCache c;
+  PageDiffCache::Total total{0};
+  c.insert(1, 1, {chunk(40, 1)}, 120, total);
+  c.insert(1, 2, {chunk(40, 2)}, 120, total);
+  c.erase(1, 1, total);
+  c.insert(1, 1, {chunk(40, 1)}, 120, total);  // now younger than (1,2)
+  c.insert(1, 3, {chunk(40, 3)}, 120, total);  // fills the budget exactly
+  c.insert(1, 4, {chunk(40, 4)}, 120, total);  // one victim: the oldest
+  EXPECT_EQ(c.find(1, 2), nullptr);
+  ASSERT_NE(c.find(1, 1), nullptr);  // its first insertion no longer counts
+  ASSERT_NE(c.find(1, 3), nullptr);
+  ASSERT_NE(c.find(1, 4), nullptr);
+  EXPECT_EQ(c.bytes(), 120u);
+  EXPECT_EQ(total.load(), 120u);
+}
+
+TEST(PageDiffCache, PinsAndGcEntriesAreNeverEvicted) {
+  PageDiffCache c;
+  PageDiffCache::Total total{0};
+  c.insert(1, 1, {chunk(30, 1)}, 100, total);  // oldest, then pinned in place
+  ASSERT_TRUE(c.pin_existing(1, 1));
+  c.insert_gc(2, 1, {chunk(30, 2)}, total);    // pinned from the start
+  // Churn far past the budget: only the budgeted entries may be victims.
+  for (std::uint32_t s = 1; s <= 20; ++s) {
+    c.insert(3, s, {chunk(20, 3)}, 100, total);
+    ASSERT_NE(c.find(1, 1), nullptr) << "pin evicted at insert " << s;
+    ASSERT_NE(c.find(2, 1), nullptr) << "gc entry evicted at insert " << s;
+    ASSERT_LE(c.bytes(), 100u);
+  }
+  EXPECT_EQ(c.pinned_bytes(), 60u);
+  // 40 budgeted bytes remain beside the 60 pinned: (3,19) and (3,20).
+  EXPECT_EQ(c.entries(), 4u);
+  EXPECT_NE(c.find(3, 20), nullptr);
+  EXPECT_NE(c.find(3, 19), nullptr);
+  EXPECT_EQ(total.load(), c.bytes());
+}
+
+TEST(PageDiffCache, PromoteToPinKeepsByteAccounting) {
+  PageDiffCache c;
+  PageDiffCache::Total total{0};
+  c.insert(1, 1, {chunk(40, 1), chunk(8, 1)}, 100, total);
+  c.insert(1, 2, {chunk(10, 2)}, 100, total);
+  c.mark_relay(1, 1);
+  EXPECT_EQ(c.relay_bytes(), 48u);
+  ASSERT_TRUE(c.pin_existing(1, 1));
+  ASSERT_TRUE(c.pin_existing(1, 1));  // a second promotion counts nothing
+  c.insert_gc(1, 1, {chunk(40, 1), chunk(8, 1)}, total);  // held: no copy
+  EXPECT_EQ(c.entries(), 2u);
+  EXPECT_EQ(c.bytes(), 58u);
+  EXPECT_EQ(c.pinned_bytes(), 48u);
+  EXPECT_EQ(total.load(), 58u);
+  // Pins survive a prune whose floor covers them; the droppable entry not.
+  std::size_t pruned = 0;
+  EXPECT_EQ(c.prune_below(VectorTime{0, 5}, total, &pruned), 1u);
+  EXPECT_EQ(pruned, 10u);
+  EXPECT_EQ(c.bytes(), 48u);
+  EXPECT_EQ(total.load(), 48u);
+  c.erase(1, 1, total);
+  EXPECT_EQ(c.bytes(), 0u);
+  EXPECT_EQ(c.pinned_bytes(), 0u);
+  EXPECT_EQ(c.relay_bytes(), 0u);
+  EXPECT_EQ(total.load(), 0u);
+}
+
+// A release write-protects the interval's dirty pages; N contiguous pages
+// are one run and so one mprotect, not N.
+TEST(PageRuns, CloseIntervalProtectsContiguousDirtyPagesInOneCall) {
+  constexpr std::size_t kPages = 16;
+  DsmConfig c;
+  c.num_nodes = 1;
+  c.heap_bytes = 4 << 20;
+  c.time.cpu_scale = 0.0;
+  DsmRuntime rt(c);
+  std::uint64_t calls = 0;
+  std::uint64_t twins = 0;
+  rt.run_spmd([&](Tmk& tmk) {
+    gptr<std::uint8_t> buf = tmk.alloc_array<std::uint8_t>((kPages + 1) * kPageSize);
+    const std::size_t first = (buf.offset() + kPageSize - 1) / kPageSize * kPageSize;
+    gptr<std::uint8_t> base(first);
+    tmk.barrier();  // closes whatever interval the allocation opened
+    tmk.lock_acquire(0);
+    for (std::size_t p = 0; p < kPages; ++p) base[p * kPageSize] = 1;
+    const std::uint64_t twins0 = tmk.node.stats().twins_created.load();
+    const std::uint64_t before = tmk.rt.arena().mprotect_calls();
+    tmk.lock_release(0);
+    calls = tmk.rt.arena().mprotect_calls() - before;
+    twins = twins0;
+  });
+  EXPECT_GE(twins, kPages);  // every page really was dirty
+  EXPECT_EQ(calls, 1u);
+}
+
+// A failed mprotect names the node, the page range and errno, and on ENOMEM
+// (a run crossing unmapped pages here; in practice the per-process VMA
+// limit) points at vm.max_map_count.
+TEST(PageRuns, MprotectFailureReportsRangeAndMapCountHint) {
+  EXPECT_DEATH(
+      {
+        Arena arena(1, 16 * kPageSize);
+        ::munmap(arena.page_ptr(0, 8), kPageSize);
+        arena.protect_range(0, 4, 8, Arena::Prot::kRead);
+      },
+      "node 0 pages \\[4, 12\\) failed: .*vm\\.max_map_count");
 }
 
 // ---------------------------------------------------------------------------

@@ -255,12 +255,13 @@ TEST(GC, NeverReadPagePinnedBytesStayBounded) {
 TEST(GC, PinInsertedAfterPrefetchEntryEvictsDroppableNeverPin) {
   constexpr std::size_t kBudget = 400;
   PageDiffCache c;
-  c.insert(1, 1, {DiffBytes(40, 1)}, kBudget, /*prefetched=*/true);
-  c.insert(1, 2, {DiffBytes(40, 2)}, kBudget, /*prefetched=*/true);
-  c.insert_gc(2, 9, {DiffBytes(300, 9)});  // pin lands after the prefetches
+  PageDiffCache::Total total{0};
+  c.insert(1, 1, {DiffBytes(40, 1)}, kBudget, total, /*prefetched=*/true);
+  c.insert(1, 2, {DiffBytes(40, 2)}, kBudget, total, /*prefetched=*/true);
+  c.insert_gc(2, 9, {DiffBytes(300, 9)}, total);  // lands after the prefetches
   EXPECT_EQ(c.pinned_bytes(), 300u);
   // Budget pressure: the droppable prefetch entries are the only victims.
-  c.insert(1, 3, {DiffBytes(40, 3)}, kBudget, /*prefetched=*/true);
+  c.insert(1, 3, {DiffBytes(40, 3)}, kBudget, total, /*prefetched=*/true);
   EXPECT_EQ(c.find(1, 1), nullptr);  // oldest droppable evicted
   ASSERT_NE(c.find(2, 9), nullptr);  // pin untouched
   ASSERT_NE(c.find(1, 3), nullptr);
@@ -268,16 +269,17 @@ TEST(GC, PinInsertedAfterPrefetchEntryEvictsDroppableNeverPin) {
   EXPECT_TRUE(c.pin_existing(1, 2));
   EXPECT_EQ(c.pinned_bytes(), 340u);
   // ...after which no amount of FIFO churn can evict it.
-  c.insert(3, 1, {DiffBytes(40, 4)}, kBudget);
-  c.insert(3, 2, {DiffBytes(40, 5)}, kBudget);
-  c.insert(3, 3, {DiffBytes(40, 6)}, kBudget);
+  c.insert(3, 1, {DiffBytes(40, 4)}, kBudget, total);
+  c.insert(3, 2, {DiffBytes(40, 5)}, kBudget, total);
+  c.insert(3, 3, {DiffBytes(40, 6)}, kBudget, total);
   ASSERT_NE(c.find(1, 2), nullptr);
   EXPECT_TRUE(c.lookup(1, 2)->pinned);
   EXPECT_TRUE(c.lookup(1, 2)->prefetched);  // provenance survives promotion
   // Applying a promoted entry releases its pinned bytes too.
-  c.erase(1, 2);
-  c.erase(2, 9);
+  c.erase(1, 2, total);
+  c.erase(2, 9, total);
   EXPECT_EQ(c.pinned_bytes(), 0u);
+  EXPECT_EQ(total.load(), c.bytes());
 }
 
 // Prefetch/GC interaction, protocol level: a prefetch that lands just

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -146,6 +148,15 @@ TEST(LockPush, DemotionWhenChainStopsTouchingAPage) {
   // under test is wire-independent — pin the wire perfect.
   c.net_fault = {};
   c.net_reliable = false;
+  // The same goes for host scheduling: left to itself, one node can run
+  // most of its iterations back to back as cached re-acquires (a failing
+  // run read 70 of 73 acquires cached), so the nodes take turns in a fixed
+  // order and the lock migrates on every acquire.  The turn is host state,
+  // not shared memory: it orders the threads without adding any DSM
+  // synchronization of its own.
+  std::mutex turn_mu;
+  std::condition_variable turn_cv;
+  std::size_t turn = 0;
   DsmRuntime rt(c);
   rt.run_spmd([&](Tmk& tmk) {
     gptr<std::uint64_t> state(kPageSize);
@@ -157,11 +168,19 @@ TEST(LockPush, DemotionWhenChainStopsTouchingAPage) {
     }
     tmk.barrier();
     for (std::size_t i = 0; i < kIters; ++i) {
+      {
+        std::unique_lock<std::mutex> lock(turn_mu);
+        turn_cv.wait(lock, [&] { return turn % tmk.nprocs() == tmk.id(); });
+      }
       tmk.lock_acquire(0);
       state[0] = state[0] + 1;
       if (i < kSwitch) state[kWpp] = state[kWpp] + 1;
       tmk.lock_release(0);
-      std::this_thread::yield();
+      {
+        std::lock_guard<std::mutex> lock(turn_mu);
+        ++turn;
+      }
+      turn_cv.notify_all();
     }
     tmk.barrier();
   });
@@ -171,7 +190,9 @@ TEST(LockPush, DemotionWhenChainStopsTouchingAPage) {
   EXPECT_GE(s.lock_push_demotions, 1u);
   // The live page keeps riding the chain: hits keep accumulating well past
   // the switch point.
-  EXPECT_GE(s.lock_push_hits, kIters / 2);
+  EXPECT_GE(s.lock_push_hits, kIters / 2)
+      << "lock_acquires " << s.lock_acquires << ", cached "
+      << s.lock_acquires_cached << ", pushes " << s.lock_pushes_sent;
 }
 
 // Pages whose diffs exceed the per-grant budget are simply not pushed — the

@@ -47,30 +47,28 @@ DsmConfig precise_cfg(std::uint32_t nodes) {
 // The node-wide atomic that PageDiffCache mirrors into must equal the sum of
 // the caches' own bytes() across every mutation path: budgeted insert, FIFO
 // eviction inside insert, pinned insert_gc, in-place pin promotion, erase,
-// and floor pruning.  Two caches bound to one total model a node's per-page
+// and floor pruning.  Two caches sharing one total model a node's per-page
 // caches feeding one ceiling metric.
 // ---------------------------------------------------------------------------
 TEST(MetaFootprint, CacheMirrorTracksEveryMutationPath) {
   std::atomic<std::size_t> total{0};
   PageDiffCache a, b;
-  a.bind_total(&total);
-  b.bind_total(&total);
   auto sum = [&] { return a.bytes() + b.bytes(); };
 
   constexpr std::size_t kBudget = 400;
-  EXPECT_TRUE(a.insert(1, 1, {DiffBytes(40, 1)}, kBudget));
-  EXPECT_TRUE(b.insert(2, 1, {DiffBytes(60, 2)}, kBudget));
+  EXPECT_TRUE(a.insert(1, 1, {DiffBytes(40, 1)}, kBudget, total));
+  EXPECT_TRUE(b.insert(2, 1, {DiffBytes(60, 2)}, kBudget, total));
   EXPECT_EQ(total.load(), 100u);
   EXPECT_EQ(total.load(), sum());
 
   // Pinned insert bypasses the budget; the mirror must still see it.
-  a.insert_gc(3, 1, {DiffBytes(300, 3)});
+  a.insert_gc(3, 1, {DiffBytes(300, 3)}, total);
   EXPECT_EQ(total.load(), 400u);
   EXPECT_EQ(total.load(), sum());
 
   // This insert forces the eviction loop: (1,1) is the droppable victim.
   // The mirror must account both the eviction's subtract and the new add.
-  EXPECT_TRUE(a.insert(1, 2, {DiffBytes(80, 4)}, kBudget));
+  EXPECT_TRUE(a.insert(1, 2, {DiffBytes(80, 4)}, kBudget, total));
   EXPECT_EQ(a.find(1, 1), nullptr);
   EXPECT_EQ(total.load(), sum());
 
@@ -81,22 +79,22 @@ TEST(MetaFootprint, CacheMirrorTracksEveryMutationPath) {
   EXPECT_EQ(total.load(), sum());
 
   // Erase releases pinned bytes from the mirror too.
-  a.erase(3, 1);
+  a.erase(3, 1, total);
   EXPECT_EQ(total.load(), sum());
 
   // Floor pruning drops covered droppables (and skips pins) in both caches.
-  EXPECT_TRUE(b.insert(2, 2, {DiffBytes(50, 5)}, kBudget));
+  EXPECT_TRUE(b.insert(2, 2, {DiffBytes(50, 5)}, kBudget, total));
   VectorTime floor(4, 0);
   floor[1] = 5;  // covers a's (1,2) — pinned, exempt
   floor[2] = 5;  // covers b's (2,1) and (2,2) — dropped
   std::size_t pruned_bytes = 0;
-  EXPECT_EQ(a.prune_below(floor, &pruned_bytes), 0u);
-  EXPECT_EQ(b.prune_below(floor, &pruned_bytes), 2u);
+  EXPECT_EQ(a.prune_below(floor, total, &pruned_bytes), 0u);
+  EXPECT_EQ(b.prune_below(floor, total, &pruned_bytes), 2u);
   EXPECT_EQ(pruned_bytes, 110u);
   EXPECT_EQ(total.load(), sum());
   ASSERT_NE(a.find(1, 2), nullptr);
 
-  a.erase(1, 2);
+  a.erase(1, 2, total);
   EXPECT_EQ(total.load(), 0u);
   EXPECT_EQ(sum(), 0u);
 }
