@@ -145,6 +145,9 @@ void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
   for (const auto& [page, rec] : notices)
     if (pages.empty() || pages.back() != page) pages.push_back(page);
 
+  // The service thread also merges (fork, join, flush notice), and meanwhile
+  // the compute thread may be writing a page the merged writers also wrote.
+  const bool on_compute = detail::region_base() == rt_.arena().region_base(id_);
   std::size_t next = 0;
   protect_runs(pages, Arena::Prot::kNone, [&](PageIndex page, PageEntry& e) {
     for (; next < notices.size() && notices[next].first == page; ++next) {
@@ -156,6 +159,12 @@ void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
     e.push_armed = false;
     e.lock_push_armed = false;
     if (e.state == PageState::kInvalid) return false;
+    // A compute-thread write that lands after this page's diff is taken and
+    // before the run's mprotect would be in neither the diff nor the next
+    // twin.  Write-protect the page first: such a write then faults, waits
+    // on e.mu and finds the page invalid.
+    if (!on_compute && e.state == PageState::kWritable)
+      rt_.arena().protect_read(id_, page);
     materialize_twin(page, e);  // no-op without a twin; the page is mapped
     e.state = PageState::kInvalid;
     stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
@@ -169,8 +178,8 @@ void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
   }
   // Invalidation mprotects are protocol work, not application compute; when
   // running on the compute thread, keep them out of the meter.  (The service
-  // thread also merges — flush/fork/join — but never owns the meter.)
-  if (detail::region_base() == rt_.arena().region_base(id_)) cpu_meter_.rebase();
+  // thread never owns the meter.)
+  if (on_compute) cpu_meter_.rebase();
 }
 
 void Node::materialize_twin(PageIndex page, PageEntry& e) {

@@ -187,6 +187,39 @@ TEST(PageDiffCache, PromoteToPinKeepsByteAccounting) {
   EXPECT_EQ(total.load(), 0u);
 }
 
+// The lock-push relay retains a chain's history: dsm-irregular with
+// TMK_LOCK_PUSH_BYTES=16384 peaks at 1450 entries on one page.  Ordering,
+// pins and accounting must hold at that size too.
+TEST(PageDiffCache, RelayScaleCacheKeepsOrderPinsAndAccounting) {
+  PageDiffCache c;
+  PageDiffCache::Total total{0};
+  constexpr std::size_t kBudget = 16384;
+  for (std::uint32_t s = 1; s <= 1500; ++s)
+    ASSERT_TRUE(c.insert(1, s, {chunk(8, 1)}, kBudget, total));
+  for (std::uint32_t s = 10; s <= 1500; s += 10) ASSERT_TRUE(c.pin_existing(1, s));
+  for (std::uint32_t s = 7; s <= 1500; s += 7)
+    if (s % 10 != 0) c.erase(1, s, total);
+  // 1500 - 193 erased entries of 8 B, 150 of them pinned.
+  EXPECT_EQ(c.entries(), 1307u);
+  EXPECT_EQ(c.bytes(), 1307u * 8);
+  EXPECT_EQ(c.pinned_bytes(), 150u * 8);
+  // Room for this entry takes exactly the three oldest droppable ones.
+  const std::size_t big = kBudget - c.bytes() + 3 * 8;
+  ASSERT_TRUE(c.insert(2, 1, {chunk(big, 2)}, kBudget, total));
+  for (std::uint32_t s : {1u, 2u, 3u}) EXPECT_EQ(c.find(1, s), nullptr) << s;
+  EXPECT_NE(c.find(1, 4), nullptr);
+  ASSERT_TRUE(c.insert(2, 2, {chunk(8, 2)}, kBudget, total));
+  EXPECT_EQ(c.find(1, 4), nullptr);
+  EXPECT_NE(c.find(1, 5), nullptr);
+  for (std::uint32_t s = 10; s <= 1500; s += 10) ASSERT_NE(c.find(1, s), nullptr) << s;
+  // A floor covering writer 1 drops every droppable entry of it, no pin.
+  std::size_t pruned = 0;
+  EXPECT_EQ(c.prune_below(VectorTime{0, 1500, 0}, total, &pruned), 1307u - 150 - 4);
+  EXPECT_EQ(c.entries(), 152u);
+  EXPECT_EQ(c.bytes(), 150u * 8 + big + 8);
+  EXPECT_EQ(total.load(), c.bytes());
+}
+
 // A release write-protects the interval's dirty pages; N contiguous pages
 // are one run and so one mprotect, not N.
 TEST(PageRuns, CloseIntervalProtectsContiguousDirtyPagesInOneCall) {

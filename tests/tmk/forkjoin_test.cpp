@@ -2,6 +2,7 @@
 // firstprivate argument blobs, and visibility across fork and join.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 
 #include "tmk/tmk.h"
@@ -207,6 +208,67 @@ TEST(ForkJoin, VirtualTimeAdvancesMonotonically) {
     tmk.join();
   });
   EXPECT_GT(rt.virtual_time_ns(), 0u);
+}
+
+// Join merges run on the master's service thread while the master may still
+// be writing pages the slaves also wrote (false sharing is legal under
+// multiple writers).  The master writes each word of its half of every page
+// exactly once, slowly, so the slaves' joins land mid-write; a write that
+// lands between the merge's diff of a page and its invalidation would stay
+// out of every diff, and a later region would read the stale word.
+constexpr std::size_t kRacePages = 32;
+constexpr std::size_t kRaceHalf = kPageSize / sizeof(std::uint64_t) / 2;
+
+struct RaceArg {
+  gptr<std::uint64_t> data;
+  std::uint64_t round;
+};
+
+std::uint64_t master_word(std::uint64_t round, std::size_t page, std::size_t k) {
+  return (round << 32) | (page * kRaceHalf + k + 1);
+}
+
+void region_write_slave_half(Tmk& tmk, const void* raw, std::size_t) {
+  RaceArg arg;
+  std::memcpy(&arg, raw, sizeof arg);
+  const std::size_t slaves = tmk.nprocs() - 1;
+  for (std::size_t p = 0; p < kRacePages; ++p)
+    for (std::size_t k = tmk.id() - 1; k < kRaceHalf; k += slaves)
+      arg.data[p * 2 * kRaceHalf + kRaceHalf + k] = arg.round + 1;
+}
+
+void region_check_master_half(Tmk&, const void* raw, std::size_t) {
+  RaceArg arg;
+  std::memcpy(&arg, raw, sizeof arg);
+  std::size_t stale = 0, first = 0;
+  for (std::size_t p = 0; p < kRacePages; ++p)
+    for (std::size_t k = 0; k < kRaceHalf; ++k)
+      if (arg.data[p * 2 * kRaceHalf + k] != master_word(arg.round, p, k) &&
+          stale++ == 0)
+        first = p * 2 * kRaceHalf + k;
+  EXPECT_EQ(stale, 0u) << "round " << arg.round << ", first stale word " << first;
+}
+
+TEST(ForkJoin, MasterWritesDuringSlaveJoinsAreNotLost) {
+  DsmRuntime rt(cfg(4));
+  rt.run_master([](Tmk& tmk) {
+    auto data = tmk.alloc(kRacePages * kPageSize, kPageSize).cast<std::uint64_t>();
+    for (std::uint64_t round = 0; round < 8; ++round) {
+      RaceArg arg{data, round};
+      tmk.fork(&region_write_slave_half, &arg, sizeof arg);
+      for (std::size_t p = 0; p < kRacePages; ++p)
+        for (std::size_t k = 0; k < kRaceHalf; ++k) {
+          data[p * 2 * kRaceHalf + k] = master_word(round, p, k);
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::microseconds(1);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+        }
+      tmk.join();
+      tmk.fork(&region_check_master_half, &arg, sizeof arg);
+      tmk.join();
+    }
+  });
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // (paper Fig. 4), and flush (paper Figs. 1-2, kept for the ablation).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+
 #include "tmk/tmk.h"
 
 namespace now::tmk {
@@ -351,6 +354,47 @@ TEST(Flush, Costs2NMinus1Messages) {
     EXPECT_EQ(t.messages_by_type[kFlushNotice], n - 1) << "n=" << n;
     EXPECT_EQ(t.messages_by_type[kFlushAck], n - 1) << "n=" << n;
   }
+}
+
+TEST(Flush, WritesDuringIncomingFlushNoticesAreNotLost) {
+  // A flush notice is merged on the receiver's service thread while its
+  // compute thread may be writing the same pages (false sharing).  Node 0
+  // writes each word of its half of every page exactly once, slowly, while
+  // the others rewrite their halves and flush in a loop; every node 0 write
+  // must reach the readers after the barrier.
+  constexpr std::size_t kPages = 16;
+  constexpr std::size_t kHalf = kPageSize / sizeof(std::uint64_t) / 2;
+  auto word = [](std::size_t p, std::size_t k) { return p * kHalf + k + 1; };
+  std::atomic<bool> writer_done{false};
+  DsmRuntime rt(cfg(4));
+  rt.run_spmd([&](Tmk& tmk) {
+    gptr<std::uint64_t> data(kPageSize);
+    if (tmk.id() == 0) {
+      for (std::size_t p = 0; p < kPages; ++p)
+        for (std::size_t k = 0; k < kHalf; ++k) {
+          data[p * 2 * kHalf + k] = word(p, k);
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::microseconds(1);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+        }
+      writer_done = true;
+    } else {
+      for (std::uint64_t it = 1; !writer_done; ++it) {
+        for (std::size_t p = 0; p < kPages; ++p)
+          for (std::size_t k = tmk.id() - 1; k < kHalf; k += tmk.nprocs() - 1)
+            data[p * 2 * kHalf + kHalf + k] = it;
+        tmk.flush();
+      }
+    }
+    tmk.barrier();
+    std::size_t stale = 0, first = 0;
+    for (std::size_t p = 0; p < kPages; ++p)
+      for (std::size_t k = 0; k < kHalf; ++k)
+        if (data[p * 2 * kHalf + k] != word(p, k) && stale++ == 0)
+          first = p * 2 * kHalf + k;
+    EXPECT_EQ(stale, 0u) << "node " << tmk.id() << ", first stale word " << first;
+  });
 }
 
 TEST(Stress, MixedPrimitivesUnderServiceJitter) {
