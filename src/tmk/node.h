@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -100,6 +102,11 @@ class Node {
     }
   };
   MetaFootprint meta_footprint();
+  // Test seam: when set, merge_and_invalidate calls it once the records are
+  // in the knowledge log and before their notices reach the pages — the
+  // window in which no lock-push image may vouch for them.  Set it before
+  // the node runs.
+  std::function<void()> merge_posting_hook;
   // Prints lock-client and manager state to stderr (deadlock forensics).
   void debug_dump();
   // Charge accumulated compute time to the virtual clock.
@@ -173,7 +180,8 @@ class Node {
   //    already finished.
   // Handlers run on the service thread and never block; the results are
   // parked and applied by the compute thread at its next sync operation
-  // (gc_poll), keeping the page diff caches compute-thread-only.
+  // (gc_poll) or inside a barrier wait, keeping the page diff caches
+  // compute-thread-only.
 
   // O(1) ceiling metric: log bytes + diff store bytes + diff cache bytes.
   std::size_t meta_bytes();
@@ -181,9 +189,17 @@ class Node {
   // kGcDepart (truncate + validate + reclaim own store to the ack) and
   // initiates a new exchange if the footprint still exceeds the ceiling.
   void gc_poll();
-  // Destroys own diff-store entries with seq <= ack_seq (compute thread;
-  // raises gc_reclaimed_seq_ only — gc_drop_seq_ stays barrier-owned).
-  void gc_reclaim_store_to(std::uint32_t ack_seq);
+  // The apply half of gc_poll.  A compute thread parked at a barrier also
+  // runs it from inside the wait, so that its validated floor, and with it
+  // the exchange's ack, keeps moving while it waits.
+  void gc_apply_parked();
+  // flush()'s notices without its release: sends every peer the records it
+  // lacks (kFlushNotice; with `whole_log`, every record above this node's
+  // log floor) and waits for the acks.
+  void publish_knowledge(bool whole_log);
+  // Destroys own diff-store entries with seq <= `seq` (compute thread; the
+  // caller owns the reclamation bounds).
+  void gc_drop_store_to(std::uint32_t seq);
   // Relay pruning: remembers that `page` holds relay-retained chunks, and
   // drops retained droppable chunks covered by this node's applied floor —
   // validation resolved those notices and every future grant delta is cut
@@ -210,10 +226,60 @@ class Node {
   // globally known — the waiter already holds them.
   std::vector<IntervalRecordPtr> mgr_delta_since(const VectorTime& since);
 
-  // ---------- migratory lock push (on the kLockGrant chain) ----------
-  // Fault-time attribution: records the faulted page against every lock the
-  // compute thread currently holds (compute thread only; builds the per-CS
-  // touch sets the fold below consumes).
+  // ---------- push protocols (node_push.cpp) ----------
+  // Two adaptive protocols push diffs ahead of the fault that would pull
+  // them: the update push at barriers, to a page's stable readers, and the
+  // migratory lock push on the kLockGrant chain, to the lock's next holder.
+  // They share one policy: admission with re-admission backoff
+  // (PushAdmission), an armed probe every few pushes (PageEntry::armed), a
+  // deny message that demotes dead pushes, and the reader-side landing
+  // below.  What each keeps of its own is its trigger and its wire section.
+
+  // A pushed interval's diff: (writer, seq) keyed exactly like a fetched
+  // reply, so a push racing a pull of the same interval stays idempotent.
+  struct PushedDiff {
+    std::uint32_t writer = 0;
+    std::uint32_t seq = 0;
+    std::vector<DiffBytes> chunks;
+  };
+  // Pages whose pushes a reader wants stopped, by pusher.
+  using PushDenies = std::map<std::uint32_t, std::vector<PageIndex>>;
+  // An interval's diff on the wire, shared by kDiffReply, kUpdatePush and
+  // the kLockGrant push section: (seq, nchunks, chunk...), each chunk
+  // length-prefixed.  diff_wire_bytes is its serialized size.
+  static void write_diff(ByteWriter& w, std::uint32_t seq,
+                         const std::vector<DiffBytes>& chunks);
+  static PushedDiff read_diff(ByteReader& r, std::uint32_t writer);
+  static std::size_t diff_wire_bytes(const std::vector<DiffBytes>& chunks);
+  // Parks a page's pushed chunks in its diff cache (budgeted, droppable).
+  // If the budget rejected every chunk, the pushes can never land, and a
+  // re-fetching fault would keep the page admitted forever: the page joins
+  // every pusher's deny list and false is returned.  `relay` marks the kept
+  // chunks as migratory relay stock.  Caller holds e.mu.
+  bool park_pushed(PageIndex page, PageEntry& e, std::vector<PushedDiff>& diffs,
+                   std::uint64_t pushers, bool relay, PushDenies& deny);
+  // Applies `notices` from the page's diff cache in applies_before order
+  // (sorting them in place) and bills diff_apply_per_kb_us.  Each entry is
+  // released once applied, unless `retain` keeps a droppable one for the
+  // migratory relay; pins always release, as on the fault path.  Leaves the
+  // page mapped read-write.  Caller holds e.mu.
+  void apply_cached(PageIndex page, PageEntry& e,
+                    std::vector<UnappliedNotice>& notices, bool retain);
+  // Lands a push whose content covers every unapplied notice: applies the
+  // cached chunks (or copies a whole-page `image`), then arms the page for
+  // the probe (left unmapped, PageEntry::armed = by) or validates it
+  // read-only, counting a push hit.  Caller holds e.mu.
+  void land_push(PageIndex page, PageEntry& e, PushArm by, bool arm,
+                 const std::uint8_t* image = nullptr);
+  // One deny per pusher: the `header` words, then (count, pages).
+  // kUpdateDeny has no header; kLockPushDeny's is the lock id.
+  void send_push_denies(std::uint16_t type, const PushDenies& deny,
+                        std::initializer_list<std::uint32_t> header = {});
+  static std::vector<PageIndex> read_denied_pages(ByteReader& r);
+
+  // Lock push trigger.  Fault-time attribution: records the faulted page
+  // against every lock the compute thread currently holds (compute thread
+  // only; builds the per-CS touch sets the fold below consumes).
   void lock_push_note_touch(PageIndex page);
   // At release: folds the ending critical section's touch set into the
   // lock's protected-set stats — touched pages (re)gain membership, member
@@ -223,9 +289,6 @@ class Node {
   // section never touched are dead pushes — deny the pushers (kLockPushDeny)
   // so the pages demote from their protected sets.
   void lock_push_judge(std::uint32_t lock_id);
-  // One kLockPushDeny to `pusher` naming the pages whose pushes were dead.
-  void send_lock_push_deny(std::uint32_t lock_id, std::uint32_t pusher,
-                           const std::vector<PageIndex>& pages);
   // Granter side: appends the push section to a kLockGrant payload — diffs
   // of this node's own records in `delta` for the lock's member pages,
   // budgeted by lock_push_bytes, with the whole-page-image fallback when a
@@ -237,18 +300,18 @@ class Node {
                         const std::vector<IntervalRecordPtr>& delta);
   // Requester side, inside lock_acquire/cond_wait on the compute thread:
   // parses the grant's push section, parks the chunks in the page diff
-  // caches ((writer, seq)-keyed — idempotent against a concurrent pull) and
-  // validates or arms fully covered pages before the critical section runs.
+  // caches and validates or arms fully covered pages before the critical
+  // section runs.
   void apply_lock_push(std::uint32_t lock_id, std::uint32_t writer,
                        ByteReader& r);
   // Shared tail of lock_acquire and cond_wait: merge the grant's records,
   // apply its push section and raise the piggybacked floor.
   std::uint32_t consume_lock_grant(sim::Message& grant);
 
-  // ---------- adaptive update protocol (compute thread, inside barrier()) ----------
-  // Reader side, at barrier entry: consume the pages pushed last epoch —
-  // clear touched bits, and send kUpdateDeny for pushes that went untouched
-  // a whole epoch (demotion).
+  // Update push trigger (compute thread, inside barrier()).  Reader side, at
+  // barrier entry: consume the pages pushed last epoch — clear touched
+  // bits, and send kUpdateDeny for pushes that went untouched a whole epoch
+  // (demotion).
   void update_scan_demote();
   // Writer side, before the barrier arrival is sent: push the epoch's diffs
   // for update-promoted pages to their stable readers, one batched
@@ -269,9 +332,6 @@ class Node {
   // of the epoch that just ended (requests are tagged with it, making the
   // fold deterministic under service-thread timing).
   void update_copyset_fold(std::uint64_t epoch);
-  // One kUpdateDeny per writer naming the pages whose pushes this reader
-  // wants stopped (demotion scan + budget-rejected pushes).
-  void send_update_denies(const std::map<std::uint32_t, std::vector<PageIndex>>& deny);
 
   // ---------- crash injection + checkpoint/rollback (node_ckpt.cpp) ----------
   // Compute-thread hook at every sync operation (and at the GC-exchange
@@ -326,8 +386,11 @@ class Node {
                                                 const VectorTime* extra);
   void send_compute(sim::Message&& m);  // stamps the compute clock
   void send_service(sim::Message&& m, std::uint64_t base_ts);  // service reply
+  // `serve_gc`: apply on-demand GC departures while blocked (see
+  // gc_apply_parked).
   sim::Message rpc_call(std::uint32_t dst, std::uint16_t type,
-                        std::vector<std::uint8_t> payload);
+                        std::vector<std::uint8_t> payload,
+                        bool serve_gc = false);
   // Advances the clock past a blocking receive.
   void arrive(const sim::Message& m);
 
@@ -400,14 +463,9 @@ class Node {
   struct PageCopyset {
     std::uint64_t epoch_readers[2] = {0, 0};  // bitmask by epoch parity
     std::uint64_t stable_set = 0;
-    std::uint32_t stable_epochs = 0;
-    // Demotions seen so far: each one doubles the stability streak required
-    // to re-promote (capped), so a page whose sharing only looks stable —
-    // pipeline-skewed consumers, migrating molecules — stops burning pushes
-    // on promotion churn while a genuinely stable page is promoted as fast
-    // as ever.
-    std::uint32_t denials = 0;
-    bool promoted = false;
+    // Promotion: admitted after update_promote_epochs consecutive epochs
+    // with the same nonempty reader set (streak = those epochs).
+    PushAdmission admission;
   };
   std::mutex copyset_mu_;
   std::unordered_map<PageIndex, PageCopyset> copyset_;
@@ -428,8 +486,7 @@ class Node {
     std::uint64_t barrier_index = 0;
     PageIndex page = 0;
     std::uint32_t writer = 0;
-    // Chunks per pushed interval seq, held here until the validate pass.
-    std::vector<std::pair<std::uint32_t, std::vector<DiffBytes>>> seq_chunks;
+    std::vector<PushedDiff> diffs;  // held here until the validate pass
   };
   std::mutex push_mu_;
   std::vector<PendingPush> pending_pushes_;
@@ -463,6 +520,10 @@ class Node {
   // before the cut until the send returns, per destination; mgr-log deltas
   // need no such lock (every mgr-log cut runs on the compute thread).
   std::unique_ptr<std::mutex[]> delta_send_mu_;
+  // merge_and_invalidate calls that have merged records into log_ but not
+  // yet posted their write notices to the pages (raised under meta_mu_).
+  // Until they finish, log_.vt() claims writes some page copy still lacks.
+  std::atomic<std::uint32_t> merges_posting_{0};
   VectorTime gc_floor_applied_;           // last barrier-GC floor applied
   // Highest floor this node has fully *validated* pages against (every
   // notice at or below it pinned or applied).  Raised by the compute thread
@@ -532,14 +593,12 @@ class Node {
   // the release/forward (compute or service), and kLockPushDeny lands on
   // the service thread.
   struct LockPushStat {
-    std::uint32_t streak = 0;     // consecutive own CSes that touched the page
-    std::uint32_t untouched = 0;  // consecutive own CSes that did not
-    std::uint32_t denials = 0;    // kLockPushDeny count: each one doubles the
-                                  // touch streak required to re-admit, so a
-                                  // page whose sharing only looks migratory
-                                  // stops burning push bytes
+    // Membership in the lock's push set, admitted after a streak of own CSes
+    // that touched the page (base 1: a page touched in every critical
+    // section joins at once).
+    PushAdmission admission;
+    std::uint32_t untouched = 0;  // consecutive own CSes that did not touch it
     std::uint32_t pushes = 0;     // pushes of this page (armed-probe cadence)
-    bool member = false;          // in the lock's push set
   };
   std::mutex lock_protect_mu_;
   std::unordered_map<std::uint32_t, std::unordered_map<PageIndex, LockPushStat>>

@@ -2,6 +2,7 @@
 // twin materialization) and messaging helpers.
 #include <algorithm>
 #include <cstring>
+#include <thread>
 
 #include "common/log.h"
 #include "tmk/arena.h"
@@ -131,7 +132,11 @@ void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
     fresh = log_.merge(recs);
+    // The vector time now covers `fresh`, but the pages learn its notices
+    // only below: until then no lock push image may vouch for it.
+    merges_posting_.fetch_add(1, std::memory_order_relaxed);
   }
+  if (merge_posting_hook) merge_posting_hook();
   // Page-major order, so that runs of consecutive invalidated pages share
   // one mprotect.  The stable sort keeps a page's notices in record order.
   std::vector<std::pair<PageIndex, const IntervalRecord*>> notices;
@@ -156,8 +161,7 @@ void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
     }
     // An armed page is already kInvalid; a fresh notice still stales its
     // applied-and-current contents.
-    e.push_armed = false;
-    e.lock_push_armed = false;
+    e.armed = PushArm::kNone;
     if (e.state == PageState::kInvalid) return false;
     // A compute-thread write that lands after this page's diff is taken and
     // before the run's mprotect would be in neither the diff nor the next
@@ -170,6 +174,12 @@ void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
     stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
     return true;
   });
+  merges_posting_.fetch_sub(1, std::memory_order_release);
+  // A concurrent service-thread merge (a flush notice, say) may have taken
+  // records this merge then skipped as known.  The sync operation that
+  // called us must not return before their notices reach the pages too.
+  while (on_compute && merges_posting_.load(std::memory_order_acquire) != 0)
+    std::this_thread::yield();
   // Seed the GC validation scan with the pages that just gained notices
   // (consumed whenever a floor is applied: barriers and fork points).
   if (rt_.config().gc_floors_enabled()) {
@@ -374,7 +384,7 @@ void Node::arrive(const sim::Message& m) {
 }
 
 sim::Message Node::rpc_call(std::uint32_t dst, std::uint16_t type,
-                            std::vector<std::uint8_t> payload) {
+                            std::vector<std::uint8_t> payload, bool serve_gc) {
   const std::uint64_t tok = rpc_.begin();
   sim::Message m;
   m.type = type;
@@ -382,9 +392,11 @@ sim::Message Node::rpc_call(std::uint32_t dst, std::uint16_t type,
   m.seq = tok;
   m.payload = std::move(payload);
   send_compute(std::move(m));
-  sim::Message reply = rpc_.wait(tok);
-  arrive(reply);
-  return reply;
+  const std::atomic<bool>* wake = serve_gc ? &gc_parked_flag_ : nullptr;
+  std::optional<sim::Message> reply;
+  while (!(reply = rpc_.wait_unless(tok, wake))) gc_apply_parked();
+  arrive(*reply);
+  return std::move(*reply);
 }
 
 }  // namespace now::tmk

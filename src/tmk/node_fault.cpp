@@ -48,17 +48,15 @@ void Node::handle_fault(void* addr) {
       e.push_touched = true;  // the reader still uses this data (update probe)
       lock_push_note_touch(page);
       if (e.unapplied.empty()) {
-        if (e.push_armed || e.lock_push_armed) {
+        if (e.armed != PushArm::kNone) {
           // Armed push (barrier update protocol or lock-grant chain): the
           // contents are already current, the fault only remaps the page —
           // the probe that proves the reader still consumes the pushed
           // data.  No messages.
-          if (e.push_armed)
-            stats_.update_push_hits.fetch_add(1, std::memory_order_relaxed);
-          if (e.lock_push_armed)
-            stats_.lock_push_hits.fetch_add(1, std::memory_order_relaxed);
-          e.push_armed = false;
-          e.lock_push_armed = false;
+          (e.armed == PushArm::kUpdate ? stats_.update_push_hits
+                                       : stats_.lock_push_hits)
+              .fetch_add(1, std::memory_order_relaxed);
+          e.armed = PushArm::kNone;
         } else if (!e.ever_valid) {
           // First touch of a never-written page: the zero-filled local copy
           // is the correct initial contents — no communication, as in
@@ -115,14 +113,6 @@ void Node::handle_fault(void* addr) {
       NOW_CHECK(false) << "fault on a writable page (node " << id_ << ", page "
                        << page << ")";
   }
-}
-
-void Node::lock_push_note_touch(PageIndex page) {
-  // Critical-section attribution for the migratory lock push: the faulted
-  // page belongs to every lock this compute thread currently holds.
-  // held_locks_ is only populated while lock_push is enabled, so the
-  // default fault path pays a single empty-vector check.
-  for (std::uint32_t lock_id : held_locks_) cs_touched_[lock_id].push_back(page);
 }
 
 void Node::fetch_and_apply(PageIndex page, PageEntry& e) {

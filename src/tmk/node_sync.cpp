@@ -1,13 +1,13 @@
-// Synchronization: barriers (centralized manager), locks (distributed queue
-// with manager forwarding and last-holder caching), semaphores (static
-// manager, two messages per operation), condition variables (queued at the
-// associated lock's manager), flush (the 2(n-1)-message primitive the paper
-// proposes to remove), and the Tmk_fork/Tmk_join pair OpenMP-style execution
-// rides on.
+// Synchronization: barriers (combining-tree or centralized manager), GC
+// (barrier-time floors and the ceiling-triggered exchange), locks
+// (distributed queue with manager forwarding and last-holder caching),
+// semaphores (static manager, two messages per operation), condition
+// variables (queued at the associated lock's manager), flush (the
+// 2(n-1)-message primitive the paper proposes to remove), and the
+// Tmk_fork/Tmk_join pair OpenMP-style execution rides on.  The push
+// protocols that ride on barriers and lock grants live in node_push.cpp.
 #include <algorithm>
-#include <cstring>
 #include <map>
-#include <tuple>
 
 #include "common/bytes.h"
 #include "common/log.h"
@@ -70,7 +70,10 @@ void Node::barrier() {
   KnowledgeLog::serialize_records(w, delta);
 
   stats_.barrier_msgs_sent.fetch_add(1, std::memory_order_relaxed);
-  sim::Message reply = rpc_call(owner, kBarrierArrive, w.take());
+  // Parked here while the others may still pass locks for a long time:
+  // keep this node's validated floor moving with the exchanges meanwhile.
+  sim::Message reply =
+      rpc_call(owner, kBarrierArrive, w.take(), /*serve_gc=*/true);
   stats_.barrier_msgs_recv.fetch_add(1, std::memory_order_relaxed);
   ByteReader r(reply.payload);
   const VectorTime floor = KnowledgeLog::deserialize_vt(r);
@@ -273,26 +276,7 @@ void Node::gc_at_barrier(const VectorTime& floor) {
     gc_floor_validated_ = vt_max(std::move(gc_floor_validated_), floor);
   }
 
-  if (prev_drop > 0) {
-    std::uint64_t bytes = 0;
-    std::size_t entries = 0;
-    std::lock_guard<std::mutex> lock(store_mu_);
-    for (auto it = diff_store_.begin(); it != diff_store_.end();) {
-      if (static_cast<std::uint32_t>(it->first) <= prev_drop) {
-        for (const DiffBytes& d : it->second) bytes += d.size();
-        ++entries;
-        it = diff_store_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (entries) {
-      diff_store_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-      stats_.gc_diff_bytes_reclaimed.fetch_add(bytes, std::memory_order_relaxed);
-      NOW_LOG(kDebug, "node %u GC: reclaimed %zu diff entries (%llu bytes) <= seq %u",
-              id_, entries, static_cast<unsigned long long>(bytes), prev_drop);
-    }
-  }
+  if (prev_drop > 0) gc_drop_store_to(prev_drop);
 
   if (rt_.config().lock_push_enabled()) relay_prune(floor);
 }
@@ -380,7 +364,7 @@ void Node::gc_validate_pages(const VectorTime& floor) {
       // prefetch window — promoted to a pin in place, because its writer is
       // about to reclaim the source copy and eviction would lose the only
       // survivor.
-      if (cache_budget > 0 && e.diff_cache.pin_existing(n.writer, n.seq)) continue;
+      if (e.diff_cache.pin_existing(n.writer, n.seq)) continue;
       w.fetch[n.writer].push_back(n.seq);
     }
     if (!w.old.empty()) work.push_back(std::move(w));
@@ -400,8 +384,8 @@ void Node::gc_validate_pages(const VectorTime& floor) {
   std::vector<sim::Message> replies;
   auto got = fetch_diffs(wants, replies, /*for_gc=*/true);
 
-  // Stash or apply.  With the diff cache enabled the page stays invalid and
-  // lazy — the fetched chunks are pinned locally and the next fault applies
+  // Stash or apply.  The fetched chunks are pinned locally.  With the diff
+  // cache enabled the page stays invalid and lazy — the next fault applies
   // them (the cache's first real hits) — until the page's pinned bytes
   // exceed the budget, at which point the backlog is applied and unpinned
   // right here, so a page nobody ever reads cannot accumulate pins forever.
@@ -414,52 +398,25 @@ void Node::gc_validate_pages(const VectorTime& floor) {
     std::lock_guard<std::mutex> lock(e.mu);
     NOW_CHECK(e.state == PageState::kInvalid)
         << "page " << w.page << " has unapplied notices but is not invalid";
-    if (cache_budget > 0) {
-      for (const auto& [writer, seqs] : w.fetch) {
-        for (std::uint32_t seq : seqs) {
-          auto it = got.find({w.page, writer, seq});
-          NOW_CHECK(it != got.end())
-              << "writer " << writer << " had no diff for page " << w.page
-              << " interval " << seq;
-          std::vector<DiffBytes> owned;
-          owned.reserve(it->second.size());
-          for (const DiffChunkView& v : it->second)
-            owned.emplace_back(v.first, v.first + v.second);
-          e.diff_cache.insert_gc(writer, seq, std::move(owned),
-                                 diff_cache_total_bytes_);
-        }
-      }
-      if (e.diff_cache.bytes() <= cache_budget) continue;  // stay lazy
-    }
-
-    std::stable_sort(w.old.begin(), w.old.end(), applies_before);
-    rt_.arena().protect_rw(id_, w.page);
-    std::uint8_t* mem = rt_.arena().page_ptr(id_, w.page);
-    std::size_t patched = 0;
-    std::uint64_t applied = 0;
-    for (const UnappliedNotice& n : w.old) {
-      if (cache_budget > 0) {
-        // Everything old is pinned by now (this pass or an earlier one).
-        const auto* cached = e.diff_cache.find(n.writer, n.seq);
-        NOW_CHECK(cached != nullptr)
-            << "writer " << n.writer << " had no pinned diff for page "
-            << w.page << " interval " << n.seq;
-        for (const DiffBytes& d : *cached) {
-          patched += diff_apply(mem, kPageSize, d);
-          ++applied;
-        }
-        e.diff_cache.erase(n.writer, n.seq, diff_cache_total_bytes_);
-      } else {
-        auto it = got.find({w.page, n.writer, n.seq});
+    for (const auto& [writer, seqs] : w.fetch) {
+      for (std::uint32_t seq : seqs) {
+        auto it = got.find({w.page, writer, seq});
         NOW_CHECK(it != got.end())
-            << "writer " << n.writer << " had no diff for page " << w.page
-            << " interval " << n.seq;
-        for (const DiffChunkView& d : it->second) {
-          patched += diff_apply(mem, kPageSize, d.first, d.second);
-          ++applied;
-        }
+            << "writer " << writer << " had no diff for page " << w.page
+            << " interval " << seq;
+        std::vector<DiffBytes> owned;
+        owned.reserve(it->second.size());
+        for (const DiffChunkView& v : it->second)
+          owned.emplace_back(v.first, v.first + v.second);
+        e.diff_cache.insert_gc(writer, seq, std::move(owned),
+                               diff_cache_total_bytes_);
       }
     }
+    if (cache_budget > 0 && e.diff_cache.bytes() <= cache_budget)
+      continue;  // stay lazy
+
+    // Everything old is pinned by now (this pass or an earlier one).
+    apply_cached(w.page, e, w.old, /*retain=*/false);
     e.unapplied.erase(
         std::remove_if(e.unapplied.begin(), e.unapplied.end(),
                        [&](const UnappliedNotice& n) {
@@ -467,9 +424,6 @@ void Node::gc_validate_pages(const VectorTime& floor) {
                        }),
         e.unapplied.end());
     rt_.arena().protect_none(id_, w.page);  // stays invalid: the fault is lazy
-    stats_.diffs_applied.fetch_add(applied, std::memory_order_relaxed);
-    clock_.advance_us(rt_.config().diff_apply_per_kb_us *
-                      (static_cast<double>(patched) / 1024.0));
   }
 }
 
@@ -501,12 +455,18 @@ void Node::gc_validate_pages(const VectorTime& floor) {
 // an in-flight validation fetch targets seqs above the requester's
 // previous validated floor, which the ack cannot exceed.)
 //
+// Both folds stall on a node that stops learning records: one parked at a
+// barrier while the others keep passing a lock learns nothing and
+// validates nothing.  So the initiator first hands every peer its whole log
+// (publish_knowledge), and a compute thread parked at a barrier applies
+// departures from inside the wait.
+//
 // Handlers run on the service thread and never block.  Results are parked
-// and applied by the compute thread at its next sync operation (gc_poll),
-// preserving the partition invariant that only the compute thread mutates
-// page diff caches.  Generations cannot overlap at a node: the root starts
-// g+1 only after folding every g arrival, and a node's fold completes
-// before its kGcArrive is sent up.
+// and applied by the compute thread at its next sync operation (gc_poll) or
+// inside a barrier wait, preserving the partition invariant that only the
+// compute thread mutates page diff caches.  Generations cannot overlap at a
+// node: the root starts g+1 only after folding every g arrival, and a
+// node's fold completes before its kGcArrive is sent up.
 // ---------------------------------------------------------------------------
 
 void Node::gc_poll() {
@@ -516,18 +476,7 @@ void Node::gc_poll() {
   // back under the ceiling without another exchange.
   if (gc_parked_flag_.load(std::memory_order_acquire)) {
     maybe_crash();  // "mid GC exchange" crash site: departure parked, not applied
-    VectorTime floor, ack;
-    {
-      std::lock_guard<std::mutex> lock(gc_depart_mu_);
-      floor = std::move(gc_parked_floor_);
-      ack = std::move(gc_parked_ack_);
-      gc_parked_floor_.clear();
-      gc_parked_ack_.clear();
-      gc_parked_flag_.store(false, std::memory_order_release);
-    }
-    gc_raise_floor(floor);
-    gc_reclaim_store_to(ack[id_]);
-    if (cfg.lock_push_enabled()) relay_prune(gc_floor_snapshot());
+    gc_apply_parked();
   }
   if (meta_bytes() <= cfg.meta_ceiling_bytes) return;
   // One initiation per generation, not one per sync op: while the exchange
@@ -536,6 +485,12 @@ void Node::gc_poll() {
   if (gc_gen_requested_ > seen) return;
   maybe_crash();  // "mid GC exchange" crash site: about to root an exchange
   gc_gen_requested_ = seen + 1;
+  // Hand every peer what this node knows first, so each snapshot below
+  // dominates it.  The whole log, not the sent-cache delta: a grant cut
+  // earlier may still wait unconsumed at the peer's compute thread, and a
+  // notice cut after it would be merged first, out of sequence.  Every peer
+  // knows the floor, and merge skips what it already has.
+  publish_knowledge(/*whole_log=*/true);
   ByteWriter w;
   w.u8(0);   // initiate
   w.u32(0);  // generation: assigned by the root
@@ -546,15 +501,31 @@ void Node::gc_poll() {
   send_compute(std::move(m));
 }
 
-void Node::gc_reclaim_store_to(std::uint32_t ack_seq) {
-  if (ack_seq <= gc_reclaimed_seq_) return;
-  gc_reclaimed_seq_ = ack_seq;
+void Node::gc_apply_parked() {
+  VectorTime floor, ack;
+  {
+    std::lock_guard<std::mutex> lock(gc_depart_mu_);
+    floor = std::move(gc_parked_floor_);
+    ack = std::move(gc_parked_ack_);
+    gc_parked_floor_.clear();
+    gc_parked_ack_.clear();
+    gc_parked_flag_.store(false, std::memory_order_release);
+  }
+  gc_raise_floor(floor);
+  if (ack[id_] > gc_reclaimed_seq_) {
+    gc_reclaimed_seq_ = ack[id_];
+    gc_drop_store_to(ack[id_]);
+  }
+  if (rt_.config().lock_push_enabled()) relay_prune(gc_floor_snapshot());
+}
+
+void Node::gc_drop_store_to(std::uint32_t seq) {
   std::uint64_t bytes = 0;
   std::size_t entries = 0;
   {
     std::lock_guard<std::mutex> lock(store_mu_);
     for (auto it = diff_store_.begin(); it != diff_store_.end();) {
-      if (static_cast<std::uint32_t>(it->first) <= ack_seq) {
+      if (static_cast<std::uint32_t>(it->first) <= seq) {
         for (const DiffBytes& d : it->second) bytes += d.size();
         ++entries;
         it = diff_store_.erase(it);
@@ -566,31 +537,8 @@ void Node::gc_reclaim_store_to(std::uint32_t ack_seq) {
   if (entries) {
     diff_store_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
     stats_.gc_diff_bytes_reclaimed.fetch_add(bytes, std::memory_order_relaxed);
-    NOW_LOG(kDebug, "node %u on-demand GC: reclaimed %zu diff entries (%llu bytes) <= seq %u",
-            id_, entries, static_cast<unsigned long long>(bytes), ack_seq);
-  }
-}
-
-void Node::relay_note(PageIndex page) { relay_pages_.push_back(page); }
-
-void Node::relay_prune(const VectorTime& floor) {
-  if (relay_pages_.empty()) return;
-  std::sort(relay_pages_.begin(), relay_pages_.end());
-  relay_pages_.erase(std::unique(relay_pages_.begin(), relay_pages_.end()),
-                     relay_pages_.end());
-  std::size_t chunks = 0;
-  std::size_t bytes = 0;
-  std::vector<PageIndex> keep;
-  for (PageIndex page : relay_pages_) {
-    PageEntry& e = pages_[page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    chunks += e.diff_cache.prune_below(floor, diff_cache_total_bytes_, &bytes);
-    if (e.diff_cache.relay_bytes() > 0) keep.push_back(page);
-  }
-  relay_pages_ = std::move(keep);
-  if (chunks) {
-    stats_.relay_chunks_pruned.fetch_add(chunks, std::memory_order_relaxed);
-    stats_.relay_bytes_pruned.fetch_add(bytes, std::memory_order_relaxed);
+    NOW_LOG(kDebug, "node %u GC: reclaimed %zu diff entries (%llu bytes) <= seq %u",
+            id_, entries, static_cast<unsigned long long>(bytes), seq);
   }
 }
 
@@ -706,350 +654,12 @@ void Node::gc_depart_apply(std::uint32_t gen, const VectorTime& floor,
     }
     gc_parked_flag_.store(true, std::memory_order_release);
   }
+  rpc_.nudge();  // a compute thread parked at a barrier applies it now
   // Monotone max: a straggling lower-generation departure (reordered behind
   // a newer one on another path) must not roll the seen mark back.
   std::uint32_t seen = gc_gen_seen_.load(std::memory_order_relaxed);
   while (seen < gen && !gc_gen_seen_.compare_exchange_weak(
                            seen, gen, std::memory_order_relaxed)) {
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive update protocol (hybrid invalidate/update, at every barrier)
-// ---------------------------------------------------------------------------
-
-void Node::update_scan_demote() {
-  // pushed_pages_ is compute-thread-only: seeded by the previous barrier's
-  // validate pass with the pages it left armed or partially covered.
-  std::vector<PageIndex> scan;
-  scan.swap(pushed_pages_);
-  if (scan.empty()) return;
-  std::sort(scan.begin(), scan.end());
-  scan.erase(std::unique(scan.begin(), scan.end()), scan.end());
-
-  std::map<std::uint32_t, std::vector<PageIndex>> deny;  // writer -> pages
-  for (PageIndex page : scan) {
-    PageEntry& e = pages_[page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    if (e.pushed_by == 0) continue;
-    if (e.push_touched) {
-      // The probe fired (or a fault on the page proved it live): the push
-      // stream earns its keep.  Fresh observation window.
-      e.push_touched = false;
-      e.pushed_by = 0;
-      continue;
-    }
-    // Pushed a whole epoch ago and never touched: the reader moved on.
-    // Demote at every writer that pushed.  The armed contents stay correct,
-    // so only the bookkeeping is dropped — a later fault on the page
-    // revalidates locally through the empty-unapplied path.
-    for (std::uint32_t wtr = 0; wtr < num_nodes_; ++wtr)
-      if (e.pushed_by & (std::uint64_t{1} << wtr)) deny[wtr].push_back(page);
-    e.pushed_by = 0;
-    e.push_armed = false;
-    e.pushes_since_probe = 0;
-  }
-  send_update_denies(deny);
-}
-
-void Node::send_update_denies(
-    const std::map<std::uint32_t, std::vector<PageIndex>>& deny) {
-  for (const auto& [wtr, pages] : deny) {
-    ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(pages.size()));
-    for (PageIndex page : pages) w.u32(page);
-    sim::Message m;
-    m.type = kUpdateDeny;
-    m.dst = wtr;
-    m.payload = w.take();
-    send_compute(std::move(m));
-  }
-}
-
-void Node::update_push_promoted(std::uint64_t barrier_index) {
-  if (epoch_dirty_.empty()) return;
-
-  // The epoch's dirty pages that are promoted, with their stable readers.
-  struct Item {
-    PageIndex page = 0;
-    const std::vector<std::uint32_t>* seqs = nullptr;
-    std::uint64_t readers = 0;
-  };
-  std::vector<Item> items;
-  {
-    std::lock_guard<std::mutex> lock(copyset_mu_);
-    for (auto& [page, seqs] : epoch_dirty_) {
-      auto it = copyset_.find(page);
-      if (it == copyset_.end() || !it->second.promoted) continue;
-      const std::uint64_t readers =
-          it->second.stable_set & ~(std::uint64_t{1} << id_);
-      if (readers == 0) continue;
-      items.push_back({page, &seqs, readers});
-    }
-  }
-  if (items.empty()) {
-    epoch_dirty_.clear();
-    return;
-  }
-  std::sort(items.begin(), items.end(),
-            [](const Item& a, const Item& b) { return a.page < b.page; });
-
-  // Materialize any twin still pending for a pushed interval (the page is at
-  // most PROT_READ once its interval closed, so contents are stable; same
-  // rule as on_diff_request).
-  for (const Item& item : items) {
-    PageEntry& e = pages_[item.page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    for (std::uint32_t seq : *item.seqs)
-      if (e.twin_valid && e.twin.seq == seq) materialize_twin(item.page, e);
-  }
-
-  // One batched kUpdatePush per reader, serialized under a single diff-store
-  // hold and sent after it drops.
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> msgs;
-  std::uint64_t pages_pushed = 0;
-  {
-    std::lock_guard<std::mutex> lock(store_mu_);
-    for (std::uint32_t reader = 0; reader < num_nodes_; ++reader) {
-      if (reader == id_) continue;
-      const std::uint64_t bit = std::uint64_t{1} << reader;
-      std::uint32_t npages = 0;
-      for (const Item& item : items) npages += (item.readers & bit) ? 1 : 0;
-      if (npages == 0) continue;
-      ByteWriter w;
-      // Barrier tag: barrier() calls are globally aligned, so the reader's
-      // validate pass for the *same* barrier index — and only it — consumes
-      // this push (its service thread may park it a full barrier early).
-      w.u32(static_cast<std::uint32_t>(barrier_index));
-      w.u32(npages);
-      for (const Item& item : items) {
-        if (!(item.readers & bit)) continue;
-        w.u32(item.page);
-        w.u32(static_cast<std::uint32_t>(item.seqs->size()));
-        for (std::uint32_t seq : *item.seqs) {
-          // GC-floor interaction: the epoch's own intervals are always above
-          // the reclaim prefix (the floor lags the epoch by construction),
-          // so a pushed seq can never dangle into reclaimed diffs.
-          NOW_CHECK_GT(seq, gc_drop_seq_)
-              << "pushed interval below the reclaimed diff-store prefix";
-          auto it = diff_store_.find(diff_store_key(item.page, seq));
-          NOW_CHECK(it != diff_store_.end())
-              << "push wants missing diff: page " << item.page << " interval "
-              << seq;
-          w.u32(seq);
-          w.u32(static_cast<std::uint32_t>(it->second.size()));
-          for (const DiffBytes& d : it->second) w.bytes(d.data(), d.size());
-        }
-      }
-      msgs.emplace_back(reader, w.take());
-      pages_pushed += npages;
-    }
-  }
-  for (auto& [reader, payload] : msgs) {
-    sim::Message m;
-    m.type = kUpdatePush;
-    m.dst = reader;
-    m.payload = std::move(payload);
-    send_compute(std::move(m));
-  }
-  stats_.update_pushes_sent.fetch_add(msgs.size(), std::memory_order_relaxed);
-  stats_.update_pages_pushed.fetch_add(pages_pushed, std::memory_order_relaxed);
-  epoch_dirty_.clear();
-}
-
-void Node::update_validate_pushed(std::uint64_t barrier_index) {
-  // Drain exactly this barrier's pushes from the pending queue.  A push
-  // tagged k is guaranteed parked before this pass runs at barrier k
-  // (mailbox FIFO: the writer pushed before it could arrive, so before the
-  // departure was sent); a push tagged k+1 — a faster writer already a
-  // barrier ahead — stays queued until the records it describes have been
-  // merged.
-  std::vector<PendingPush> batch;
-  {
-    std::lock_guard<std::mutex> lock(push_mu_);
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < pending_pushes_.size(); ++i) {
-      PendingPush& pp = pending_pushes_[i];
-      if (pp.barrier_index != barrier_index) {
-        if (pp.barrier_index < barrier_index) {
-          // On the perfect wire this is impossible: the writer pushed
-          // before arriving at barrier k, so mailbox FIFO parks the push
-          // before the departure that triggers this pass.  Under injected
-          // faults the cross-link transitivity breaks — the push can be
-          // dropped and its retransmission land after the validate pass —
-          // and the stale push must be discarded: the push is an
-          // optimization only (the pull path re-fetches anything it
-          // carried), while applying a stale epoch's diffs late could
-          // resurrect overwritten words.
-          NOW_CHECK(rt_.config().chaos_enabled())
-              << "update push missed its barrier";
-          stats_.update_pushes_stale.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        // A faster writer already a barrier ahead: keep until its barrier.
-        // Compact in place, guarding the self-move (v[i] = move(v[i])
-        // empties the chunk vectors).
-        if (keep != i) pending_pushes_[keep] = std::move(pp);
-        ++keep;
-        continue;
-      }
-      batch.push_back(std::move(pp));
-    }
-    pending_pushes_.resize(keep);
-  }
-  if (batch.empty()) return;
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const PendingPush& a, const PendingPush& b) {
-                     return a.page < b.page;
-                   });
-
-  const auto& cfg = rt_.config();
-  const std::size_t cache_budget = cfg.diff_cache_bytes_per_page;
-  const std::uint32_t reprobe = std::max<std::uint32_t>(1, cfg.update_reprobe_epochs);
-  std::vector<PageIndex> relist;
-  std::map<std::uint32_t, std::vector<PageIndex>> deny;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PageIndex page = batch[i].page;
-    PageEntry& e = pages_[page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    // Park this page's pushed chunks in its diff cache (budgeted, droppable,
-    // keyed (writer, seq) exactly like a fetched reply).  This runs on the
-    // compute thread only, which is what keeps a push racing a pull
-    // idempotent: whichever applies first erases the entry, the other's
-    // copy is redundant bytes, never a second application.
-    std::uint64_t writers = 0;
-    bool any_kept = false;
-    for (; i < batch.size() && batch[i].page == page; ++i) {
-      PendingPush& pp = batch[i];
-      writers |= std::uint64_t{1} << pp.writer;
-      for (auto& [seq, chunks] : pp.seq_chunks)
-        any_kept |=
-            e.diff_cache.insert(pp.writer, seq, std::move(chunks), cache_budget,
-                                diff_cache_total_bytes_, /*prefetched=*/false,
-                                /*pushed=*/true);
-    }
-    --i;  // the for-loop's ++i re-advances past this page's run
-    if (!any_kept) {
-      // The budget rejected every pushed chunk (oversized epoch diffs, or a
-      // page whose GC pins already fill it): these pushes can never land, so
-      // without a demotion the writer would re-ship the same bytes every
-      // epoch forever — the re-fetching fault keeps the copyset stable and
-      // no armed probe ever fires.  Deny now; re-promotion backs off.
-      for (std::uint32_t wtr = 0; wtr < num_nodes_; ++wtr)
-        if (writers & (std::uint64_t{1} << wtr)) deny[wtr].push_back(page);
-      continue;
-    }
-    e.pushed_by |= writers;
-    if (e.state != PageState::kInvalid || e.unapplied.empty()) {
-      // A racing pull-path fetch (lock-chain knowledge mid-epoch) already
-      // applied everything; the push was redundant bytes.  Forget it so the
-      // demotion scan doesn't misjudge the page.
-      e.pushed_by = 0;
-      continue;
-    }
-    // Eager apply only when the cached chunks cover *every* wanted interval
-    // — applying a suffix out of lamport order could resurrect overwritten
-    // bytes.  Partially covered pages stay lazy: the fault serves the cached
-    // part locally and fetches the rest.
-    bool covered = true;
-    for (const UnappliedNotice& n : e.unapplied) {
-      if (e.diff_cache.lookup(n.writer, n.seq) == nullptr) {
-        covered = false;
-        break;
-      }
-    }
-    if (!covered) {
-      relist.push_back(page);  // the demotion scan still judges it
-      continue;
-    }
-
-    std::stable_sort(e.unapplied.begin(), e.unapplied.end(), applies_before);
-    rt_.arena().protect_rw(id_, page);
-    std::uint8_t* mem = rt_.arena().page_ptr(id_, page);
-    std::size_t patched = 0;
-    std::uint64_t applied = 0;
-    for (const UnappliedNotice& n : e.unapplied) {
-      const auto* cached = e.diff_cache.find(n.writer, n.seq);
-      for (const DiffBytes& d : *cached) {
-        patched += diff_apply(mem, kPageSize, d);
-        ++applied;
-      }
-      e.diff_cache.erase(n.writer, n.seq, diff_cache_total_bytes_);
-    }
-    e.unapplied.clear();
-    e.ever_valid = true;
-    stats_.diffs_applied.fetch_add(applied, std::memory_order_relaxed);
-    clock_.advance_us(cfg.diff_apply_per_kb_us *
-                      (static_cast<double>(patched) / 1024.0));
-
-    // Liveness probe cadence: every reprobe-th push is applied *armed* —
-    // contents current but unmapped, so the next access faults once,
-    // locally, and proves the reader still consumes the stream.  The pushes
-    // in between (including the first: promotion already rests on observed
-    // faults in consecutive epochs) validate outright and the post-barrier
-    // fault disappears.  A reader that stops consuming burns at most
-    // reprobe-1 validated pushes before a probe goes untouched and the
-    // demotion lands.
-    const bool probe = (++e.pushes_since_probe % reprobe) == 0;
-    if (probe) {
-      rt_.arena().protect_none(id_, page);
-      e.push_armed = true;
-      e.push_touched = false;
-      relist.push_back(page);  // the next barrier's scan judges the probe
-    } else {
-      rt_.arena().protect_read(id_, page);
-      e.state = PageState::kReadOnly;
-      e.pushed_by = 0;
-      stats_.update_push_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (!relist.empty())
-    pushed_pages_.insert(pushed_pages_.end(), relist.begin(), relist.end());
-  send_update_denies(deny);
-}
-
-void Node::update_copyset_fold(std::uint64_t epoch) {
-  const std::uint32_t promote = rt_.config().update_promote_epochs;
-  std::lock_guard<std::mutex> lock(copyset_mu_);
-  for (auto it = copyset_.begin(); it != copyset_.end();) {
-    PageCopyset& cs = it->second;
-    const std::uint64_t cur = cs.epoch_readers[epoch & 1];
-    cs.epoch_readers[epoch & 1] = 0;
-    if (cs.promoted) {
-      // A request while promoted is a newcomer (or a demoted reader faulting
-      // its way back): fold it into the push set — the armed probe demotes
-      // it again if the interest was transient.
-      cs.stable_set |= cur;
-      ++it;
-      continue;
-    }
-    if (cur == 0) {
-      // No requests this epoch is no evidence either way: the writer may
-      // not have written (nothing to fetch), or reads alternate with
-      // compute phases.  Keep the streak — a *changed* reader set breaks
-      // it below, and a stale promotion is the armed probe's job to kill.
-      if (cs.stable_set == 0 && cs.epoch_readers[(epoch + 1) & 1] == 0) {
-        // Never-stable and quiescent: drop the entry so the copyset map
-        // tracks live sharing, not history.
-        it = copyset_.erase(it);
-      } else {
-        ++it;
-      }
-      continue;
-    }
-    if (cur == cs.stable_set) {
-      ++cs.stable_epochs;
-    } else {
-      cs.stable_set = cur;
-      cs.stable_epochs = 1;
-    }
-    // Each past demotion doubles the streak required to re-promote (capped):
-    // sharing that only *looks* stable stops churning promote/demote cycles,
-    // while a first-time-stable page promotes at the configured threshold.
-    const std::uint32_t threshold =
-        promote << std::min<std::uint32_t>(cs.denials, 4);
-    if (cs.stable_epochs >= threshold) cs.promoted = true;
-    ++it;
   }
 }
 
@@ -1286,441 +896,6 @@ void Node::on_lock_forward(sim::Message&& m) {
   NOW_LOG(kDebug, "node %u: forward lock %u: %s", id_, lock_id,
           grant_now ? "grant from cache" : "queued pending");
   if (grant_now) grant_lock(lock_id, requester, vt, m.arrive_ts_ns, /*from_service=*/true);
-}
-
-// ---------------------------------------------------------------------------
-// Migratory lock push: diffs piggybacked on the kLockGrant chain
-// ---------------------------------------------------------------------------
-
-void Node::lock_push_fold(std::uint32_t lock_id) {
-  std::vector<PageIndex> touched;
-  auto tit = cs_touched_.find(lock_id);
-  if (tit != cs_touched_.end()) touched = std::move(tit->second);
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-
-  const std::uint32_t probe =
-      std::max<std::uint32_t>(1, rt_.config().lock_push_probe);
-  std::lock_guard<std::mutex> lock(lock_protect_mu_);
-  auto& prot = lock_protect_[lock_id];
-  for (PageIndex pg : touched) {
-    LockPushStat& ps = prot[pg];
-    ps.untouched = 0;
-    ++ps.streak;
-    // Exponential re-admission backoff: each past denial doubles the touch
-    // streak required before the page pushes again (capped), so sharing
-    // that only *looks* migratory stops burning push bytes while a page
-    // touched in every critical section joins the set immediately.
-    const std::uint32_t need = 1u << std::min<std::uint32_t>(ps.denials, 4);
-    if (ps.streak >= need) ps.member = true;
-  }
-  for (auto it = prot.begin(); it != prot.end();) {
-    if (std::binary_search(touched.begin(), touched.end(), it->first)) {
-      ++it;
-      continue;
-    }
-    LockPushStat& ps = it->second;
-    ps.streak = 0;
-    if (++ps.untouched >= probe) {
-      // Untouched for lock_push_probe consecutive of our own critical
-      // sections: the page is no longer part of what this lock protects.
-      ps.member = false;
-      if (ps.denials == 0) {
-        // Quiescent and never denied: forget the page entirely, so the map
-        // tracks live sharing rather than history.
-        it = prot.erase(it);
-        continue;
-      }
-    }
-    ++it;
-  }
-}
-
-void Node::lock_push_judge(std::uint32_t lock_id) {
-  auto it = lock_armed_judge_.find(lock_id);
-  if (it == lock_armed_judge_.end() || it->second.empty()) return;
-  std::vector<LockArmed> armed = std::move(it->second);
-  it->second.clear();
-
-  std::map<std::uint32_t, std::vector<PageIndex>> deny;  // pusher -> pages
-  for (const LockArmed& a : armed) {
-    PageEntry& e = pages_[a.page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    if (a.armed) {
-      // Still armed after the whole critical section ran: the push was dead
-      // weight.  (A consumed probe cleared the flag at its fault and counted
-      // a hit; a fresh write notice also cleared it — no verdict then.)
-      if (!e.lock_push_armed) continue;
-      e.lock_push_armed = false;  // contents stay current; bookkeeping drops
-    } else {
-      // Partial-push probe: the chunks were parked, not applied.  If the
-      // page is still invalid with unapplied notices, no fault consumed
-      // them all critical section long — the pusher is shipping bytes
-      // nobody reads — while a page that went valid was read: no verdict.
-      // Heuristic, not proof: a page consumed mid-CS and then re-staled by
-      // an unrelated sync (a flush notice, say) is denied unfairly.  The
-      // verdict only moves bookkeeping — a hot page re-admits after the
-      // backoff streak of touched critical sections, contents never depend
-      // on it.
-      if (e.state != PageState::kInvalid || e.unapplied.empty()) continue;
-    }
-    deny[a.writer].push_back(a.page);
-  }
-  for (const auto& [pusher, pages] : deny)
-    send_lock_push_deny(lock_id, pusher, pages);
-}
-
-void Node::send_lock_push_deny(std::uint32_t lock_id, std::uint32_t pusher,
-                               const std::vector<PageIndex>& pages) {
-  ByteWriter w;
-  w.u32(lock_id);
-  w.u32(static_cast<std::uint32_t>(pages.size()));
-  for (PageIndex pg : pages) w.u32(pg);
-  sim::Message m;
-  m.type = kLockPushDeny;
-  m.dst = pusher;
-  m.payload = w.take();
-  send_compute(std::move(m));
-}
-
-void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
-                            const VectorTime& req_vt,
-                            const std::vector<IntervalRecordPtr>& delta) {
-  const auto& cfg = rt_.config();
-  if (!cfg.lock_push_enabled() || delta.empty()) {
-    w.u32(0);
-    return;
-  }
-
-  // Candidate pages: protected-set members named by the delta's records.
-  // Records of *other* nodes matter too — on a rotating grant chain the
-  // delta relays the whole chain history the requester missed, so a page
-  // everyone updates under the lock carries several writers' notices.  Our
-  // own intervals' diffs come from the diff store; relayed writers' diffs
-  // come from this page's requester-side cache, where the fault path and
-  // the push-apply path *retain* chunks for lock-touched pages exactly so
-  // the chain can forward them (the migratory relay).  A page the relay
-  // cannot fully cover falls back to the whole-page image, and failing
-  // that to a partial own-diff push or the plain pull path.
-  struct Cand {
-    PageIndex page = 0;
-    // Every delta record naming the page, as (writer, seq) in delta order.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;
-  };
-  std::vector<Cand> cands;
-  {
-    std::lock_guard<std::mutex> lock(lock_protect_mu_);
-    auto it = lock_protect_.find(lock_id);
-    if (it == lock_protect_.end()) {
-      w.u32(0);
-      return;
-    }
-    std::map<PageIndex, std::size_t> index;
-    for (const IntervalRecordPtr& rec : delta) {
-      for (PageIndex pg : rec->pages) {
-        auto ps = it->second.find(pg);
-        if (ps == it->second.end() || !ps->second.member) continue;
-        auto [slot, fresh] = index.emplace(pg, cands.size());
-        if (fresh) cands.push_back({pg, {}});
-        cands[slot->second].entries.emplace_back(rec->node, rec->seq);
-      }
-    }
-  }
-  if (cands.empty()) {
-    w.u32(0);
-    return;
-  }
-
-  // Whole-page images are sound only when our knowledge dominates the
-  // requester's: then everything it could already have applied to the page,
-  // our valid copy contains too, and the memcpy can never clobber a
-  // concurrent writer's applied words.  The snapshot vector time rides with
-  // each image so the requester can verify coverage of every notice it
-  // holds.  (Diff pushes need no such guard — they patch exactly the bytes
-  // the named intervals wrote, like any fetched diff.)
-  bool dominates = true;
-  VectorTime grant_vt;
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    grant_vt = log_.vt();
-    for (std::uint32_t i = 0; i < num_nodes_; ++i) {
-      if (req_vt[i] > grant_vt[i]) {
-        dominates = false;
-        break;
-      }
-    }
-  }
-
-  const std::size_t image_sz = kPageSize + 6 + 4 * num_nodes_;
-  ByteWriter pw;  // entries, counted as we go (npush is written first below)
-  std::uint32_t npush = 0;
-  std::size_t budget = cfg.lock_push_bytes;
-  const std::uint32_t reprobe =
-      std::max<std::uint32_t>(1, cfg.lock_push_reprobe);
-  for (const Cand& c : cands) {
-    PageEntry& e = pages_[c.page];
-    std::lock_guard<std::mutex> lock(e.mu);
-    // Materialize any twin still pending for a pushed own interval (the
-    // page is at most PROT_READ once its interval closed, so its bytes are
-    // stable; same rule — and same e.mu-before-store_mu_ order — as
-    // on_diff_request).
-    for (const auto& [wtr, seq] : c.entries)
-      if (wtr == id_ && e.twin_valid && e.twin.seq == seq)
-        materialize_twin(c.page, e);
-
-    // Size the push: own intervals from the diff store, relayed ones from
-    // the page's retained cache.  Own store entries cannot be reclaimed
-    // underneath this grant (delta seqs are above the requester's vector
-    // time, which dominates every announced floor, and own-diff reclamation
-    // lags the floor by one reclamation point — the NOW_CHECK fails loudly
-    // if that invariant is ever broken); retained cache entries are stable
-    // under e.mu, which we hold until they are serialized.
-    std::size_t diff_sz = 0;
-    std::size_t own_sz = 0;  // the subset a partial push actually serializes
-    bool relay_covered = true;
-    std::size_t own = 0;
-    {
-      std::lock_guard<std::mutex> sl(store_mu_);
-      for (const auto& [wtr, seq] : c.entries) {
-        if (wtr == id_) {
-          auto it = diff_store_.find(diff_store_key(c.page, seq));
-          NOW_CHECK(it != diff_store_.end())
-              << "lock push sourced a reclaimed diff: page " << c.page
-              << " interval " << seq;
-          ++own;
-          std::size_t sz = 12;  // writer + seq + chunk count
-          for (const DiffBytes& d : it->second) sz += 4 + d.size();
-          diff_sz += sz;
-          own_sz += sz;
-        } else if (const auto* chunks = e.diff_cache.find(wtr, seq)) {
-          diff_sz += 12;
-          for (const DiffBytes& d : *chunks) diff_sz += 4 + d.size();
-        } else {
-          relay_covered = false;  // evicted (or never seen): no full relay
-        }
-      }
-    }
-
-    // Image fallback: the relay cannot cover the page (missing foreign
-    // chunks) or a dense rewrite made the chunked diffs outgrow the page.
-    std::vector<std::uint8_t> image;
-    if ((!relay_covered || diff_sz > kPageSize) && dominates &&
-        image_sz <= budget && e.state == PageState::kReadOnly) {
-      // kReadOnly only: a writable page is mid-interval on our own compute
-      // thread and copying it would race the writes byte-for-byte.
-      const std::uint8_t* mem = rt_.arena().page_ptr(id_, c.page);
-      image.assign(mem, mem + kPageSize);
-    }
-    const bool as_image = !image.empty();
-    const bool as_diffs = !as_image && relay_covered && diff_sz <= budget &&
-                          diff_sz <= kPageSize;
-    // Partial own-diff push: the requester still pulls the rest, but skips
-    // the round trip to *us* (its fault finds our chunks cached).  Only the
-    // own bytes are serialized, so only they are charged to the budget.
-    const bool as_partial =
-        !as_image && !as_diffs && own > 0 && own_sz <= budget;
-    if (!as_image && !as_diffs && !as_partial) continue;  // plain pull path
-
-    // Armed-probe cadence: every reprobe-th push of this (lock, page) is
-    // applied armed at the requester, proving the chain still consumes it.
-    bool arm = false;
-    {
-      std::lock_guard<std::mutex> plock(lock_protect_mu_);
-      LockPushStat& ps = lock_protect_[lock_id][c.page];
-      arm = (++ps.pushes % reprobe) == 0;
-    }
-
-    pw.u32(c.page);
-    pw.u8(as_image ? 1 : 0);
-    pw.u8(arm ? 1 : 0);
-    if (as_image) {
-      KnowledgeLog::serialize_vt(pw, grant_vt);
-      pw.bytes(image.data(), image.size());
-      budget -= image_sz;
-    } else {
-      ByteWriter entries;
-      std::uint32_t n = 0;
-      std::lock_guard<std::mutex> sl(store_mu_);
-      for (const auto& [wtr, seq] : c.entries) {
-        const std::vector<DiffBytes>* chunks = nullptr;
-        if (wtr == id_) {
-          auto it = diff_store_.find(diff_store_key(c.page, seq));
-          NOW_CHECK(it != diff_store_.end())
-              << "lock push sourced a reclaimed diff: page " << c.page
-              << " interval " << seq;
-          chunks = &it->second;
-        } else if (as_diffs) {
-          chunks = e.diff_cache.find(wtr, seq);
-          NOW_CHECK(chunks != nullptr);  // stable under e.mu since sizing
-        } else {
-          continue;  // partial push: own intervals only
-        }
-        entries.u32(wtr);
-        entries.u32(seq);
-        entries.u32(static_cast<std::uint32_t>(chunks->size()));
-        for (const DiffBytes& d : *chunks) entries.bytes(d.data(), d.size());
-        ++n;
-      }
-      pw.u32(n);
-      pw.raw(entries.data().data(), entries.size());
-      budget -= as_diffs ? diff_sz : own_sz;
-    }
-    ++npush;
-  }
-  w.u32(npush);
-  if (npush > 0) {
-    w.raw(pw.data().data(), pw.size());
-    stats_.lock_pushes_sent.fetch_add(1, std::memory_order_relaxed);
-    stats_.lock_pages_pushed.fetch_add(npush, std::memory_order_relaxed);
-  }
-}
-
-void Node::apply_lock_push(std::uint32_t lock_id, std::uint32_t writer,
-                           ByteReader& r) {
-  const std::uint32_t npush = r.u32();
-  if (npush == 0) return;
-  const auto& cfg = rt_.config();
-  const std::size_t cache_budget = cfg.diff_cache_bytes_per_page;
-  std::size_t patched = 0;
-  std::uint64_t applied = 0;
-  std::vector<PageIndex> deny;  // pushes the cache budget can never hold
-
-  auto finish = [&](PageEntry& e, PageIndex page, bool arm) {
-    e.ever_valid = true;
-    if (arm) {
-      // Probe: contents current, page left unmapped — the critical
-      // section's first access faults once, locally, and the release
-      // judges a page still armed as a dead push (lock_push_judge).
-      rt_.arena().protect_none(id_, page);
-      e.lock_push_armed = true;
-      lock_armed_judge_[lock_id].push_back({page, writer, /*armed=*/true});
-    } else {
-      rt_.arena().protect_read(id_, page);
-      e.state = PageState::kReadOnly;
-      stats_.lock_push_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  for (std::uint32_t p = 0; p < npush; ++p) {
-    const PageIndex page = r.u32();
-    const std::uint8_t kind = r.u8();
-    const bool arm = r.u8() != 0;
-    PageEntry& e = pages_[page];
-
-    if (kind == 1) {  // whole-page image
-      const VectorTime img_vt = KnowledgeLog::deserialize_vt(r);
-      const auto [img, n] = r.bytes_view();
-      NOW_CHECK_EQ(n, kPageSize);
-      std::lock_guard<std::mutex> lock(e.mu);
-      if (e.state != PageState::kInvalid || e.unapplied.empty()) continue;
-      // The granter's valid copy had every notice it knew applied, so the
-      // image covers exactly the notices at or below its snapshot vector
-      // time — including the relayed chain history of other writers.  A
-      // notice above it (a writer concurrent with the granter) cannot be
-      // ordered against the image: pull path instead.
-      bool covered = true;
-      for (const UnappliedNotice& un : e.unapplied) {
-        if (un.seq > img_vt[un.writer]) {
-          covered = false;
-          break;
-        }
-      }
-      if (!covered) continue;
-      rt_.arena().protect_rw(id_, page);
-      std::memcpy(rt_.arena().page_ptr(id_, page), img, kPageSize);
-      patched += kPageSize;
-      ++applied;
-      e.unapplied.clear();
-      finish(e, page, arm);
-      continue;
-    }
-
-    // Diff push: own the chunks and park them in the page's cache, keyed
-    // (writer, seq) exactly like a fetched reply — idempotent against any
-    // concurrent pull of the same intervals.  Applied entries are RETAINED
-    // (not erased): this page is lock-protected, and the retained chunks
-    // are what lets our own later grant relay the chain's accumulated
-    // diffs onward instead of shipping whole-page images.
-    const std::uint32_t nentries = r.u32();
-    std::vector<std::tuple<std::uint32_t, std::uint32_t, std::vector<DiffBytes>>>
-        wire(nentries);
-    for (std::uint32_t i = 0; i < nentries; ++i) {
-      std::get<0>(wire[i]) = r.u32();
-      std::get<1>(wire[i]) = r.u32();
-      const std::uint32_t nchunks = r.u32();
-      std::get<2>(wire[i]).reserve(nchunks);
-      for (std::uint32_t k = 0; k < nchunks; ++k) {
-        const auto [ptr, nb] = r.bytes_view();
-        std::get<2>(wire[i]).emplace_back(ptr, ptr + nb);
-      }
-    }
-    std::lock_guard<std::mutex> lock(e.mu);
-    if (e.state != PageState::kInvalid || e.unapplied.empty()) continue;
-    bool any_kept = false;
-    for (auto& [wtr, seq, chunks] : wire)
-      any_kept |= e.diff_cache.insert(wtr, seq, std::move(chunks),
-                                      cache_budget, diff_cache_total_bytes_,
-                                      /*prefetched=*/false, /*pushed=*/true);
-    // Retained entries on this lock-protected page are relay stock: mark
-    // them so the prune pass can drop them once a floor covers them
-    // (mark_relay no-ops on budget-rejected keys).
-    for (const auto& [wtr, seq, chunks] : wire) e.diff_cache.mark_relay(wtr, seq);
-    if (any_kept) relay_note(page);
-    if (!any_kept) {
-      // The cache budget rejected every chunk (GC pins already fill it, or
-      // oversized diffs): these pushes can never land, and the re-fetching
-      // fault would keep the protected set stable forever.  Deny now;
-      // re-admission backs off.
-      deny.push_back(page);
-      continue;
-    }
-    // Apply only when the cache now covers every wanted interval — applying
-    // a suffix out of lamport order could resurrect overwritten bytes.
-    // Partially covered pages stay lazy: the fault serves the cached part
-    // locally and fetches only the rest.
-    bool covered = true;
-    for (const UnappliedNotice& un : e.unapplied) {
-      if (e.diff_cache.lookup(un.writer, un.seq) == nullptr) {
-        covered = false;
-        break;
-      }
-    }
-    if (!covered) {
-      // Partially covered: the parked chunks serve the fault if one comes.
-      // On a probe grant, judge that at release — a page that stays invalid
-      // through the whole critical section is a dead push and must demote,
-      // or a chronic partial pusher would ship its bytes forever.
-      if (arm) lock_armed_judge_[lock_id].push_back({page, writer, false});
-      continue;
-    }
-    std::stable_sort(e.unapplied.begin(), e.unapplied.end(), applies_before);
-    rt_.arena().protect_rw(id_, page);
-    std::uint8_t* mem = rt_.arena().page_ptr(id_, page);
-    for (const UnappliedNotice& un : e.unapplied) {
-      const auto* cached = e.diff_cache.lookup(un.writer, un.seq);
-      NOW_CHECK(cached != nullptr);
-      for (const DiffBytes& d : cached->chunks) {
-        patched += diff_apply(mem, kPageSize, d);
-        ++applied;
-      }
-      // Droppable entries are retained for the migratory relay; pinned ones
-      // (barrier-GC stashes of reclaimed diffs) must release on apply, same
-      // as on the fault path — their seqs are below the GC floor, so no
-      // grant delta can ever name them again and a stale pin would leak
-      // pinned bytes forever.
-      if (cached->pinned)
-        e.diff_cache.erase(un.writer, un.seq, diff_cache_total_bytes_);
-    }
-    e.unapplied.clear();
-    finish(e, page, arm);
-  }
-
-  if (applied > 0) {
-    stats_.diffs_applied.fetch_add(applied, std::memory_order_relaxed);
-    clock_.advance_us(cfg.diff_apply_per_kb_us *
-                      (static_cast<double>(patched) / 1024.0));
-  }
-  if (!deny.empty()) send_lock_push_deny(lock_id, writer, deny);
 }
 
 // ---------------------------------------------------------------------------
@@ -1986,21 +1161,28 @@ void Node::flush() {
   gc_poll();
   stats_.flushes.fetch_add(1, std::memory_order_relaxed);
   close_interval();
+  publish_knowledge(/*whole_log=*/false);
+}
 
+void Node::publish_knowledge(bool whole_log) {
+  std::vector<IntervalRecordPtr> whole;
+  if (whole_log) {
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    VectorTime floor(num_nodes_);
+    for (std::uint32_t i = 0; i < num_nodes_; ++i) floor[i] = log_.gc_floor(i);
+    whole = log_.delta_since(floor);
+  }
   // 2(n-1) messages: a notice to every other node, each acknowledged — the
   // cost the paper's Section 3.2.4 argues against.
-  struct Call {
-    std::uint64_t tok;
-  };
-  std::vector<Call> calls;
+  std::vector<std::uint64_t> calls;
   for (std::uint32_t peer = 0; peer < num_nodes_; ++peer) {
     if (peer == id_) continue;
     // Cut-to-enqueue ordering vs a concurrent service-thread grant to the
     // same peer (see grant_lock).
     std::lock_guard<std::mutex> order(delta_send_mu_[peer]);
-    auto delta = take_delta_for(peer, Cache::kNodeLog, nullptr);
     ByteWriter w;
-    KnowledgeLog::serialize_records(w, delta);
+    KnowledgeLog::serialize_records(
+        w, whole_log ? whole : take_delta_for(peer, Cache::kNodeLog, nullptr));
     const std::uint64_t tok = rpc_.begin();
     sim::Message m;
     m.type = kFlushNotice;
@@ -2008,12 +1190,9 @@ void Node::flush() {
     m.seq = tok;
     m.payload = w.take();
     send_compute(std::move(m));
-    calls.push_back({tok});
+    calls.push_back(tok);
   }
-  for (const Call& c : calls) {
-    sim::Message ack = rpc_.wait(c.tok);
-    arrive(ack);
-  }
+  for (std::uint64_t tok : calls) arrive(rpc_.wait(tok));
 }
 
 // ---------------------------------------------------------------------------

@@ -259,6 +259,40 @@ class PageDiffCache {
   std::size_t relay_bytes_ = 0;   // subset of bytes_ retained for the relay
 };
 
+// Admission to a push set, shared by both push protocols.  The update push
+// counts barrier epochs with the same reader set, the lock push counts the
+// lock's own critical sections that touched the page; a page joins the set
+// once the streak reaches base << min(denials, 4).  Each denial of a member
+// doubles the streak re-admission needs (up to 16x), so sharing that only
+// looks stable stops churning admit/deny cycles, while a page seen stable
+// for the first time joins at the base threshold.
+struct PushAdmission {
+  std::uint32_t streak = 0;   // consecutive qualifying observations
+  std::uint32_t denials = 0;  // denials that demoted a member (the lock
+                              // push also counts late ones; see
+                              // Node::on_lock_push_deny)
+  bool member = false;        // in the push set
+
+  // Counts one more qualifying observation.  Returns membership.
+  bool admit(std::uint32_t base) {
+    ++streak;
+    if (streak >= base << std::min<std::uint32_t>(denials, 4)) member = true;
+    return member;
+  }
+  // A reader denied the push: leave the set and restart the streak.
+  // Returns whether the page was a member (a demotion).
+  bool deny() {
+    const bool was = member;
+    if (was) ++denials;
+    member = false;
+    streak = 0;
+    return was;
+  }
+};
+
+// Which push protocol armed a page (see PageEntry::armed).
+enum class PushArm : std::uint8_t { kNone, kUpdate, kLock };
+
 // One per page per node, whether or not the program touches the page, so
 // the fields are ordered widest first and the one-byte flags share a single
 // tail word; every member is empty without a heap allocation until the page
@@ -292,26 +326,28 @@ struct PageEntry {
   bool ever_valid = false;  // false => local copy is the initial zero page
   bool twin_valid = false;
 
-  // Update protocol.  Armed: every wanted diff has been applied and the
-  // contents are current, but the page is deliberately left unmapped so the
-  // next access faults once, locally — the liveness probe of the update
-  // protocol.  The probe fault sets `push_touched`; an armed page still
-  // untouched when the next barrier's demotion scan runs is evidence the
-  // reader stopped using the data, and demotes it at the writers.
-  bool push_armed = false;
+  // Armed by a push (guarded by mu): every wanted diff has been applied and
+  // the contents are current, but the page is deliberately left unmapped so
+  // the next access faults once, locally — the probe proving the reader
+  // still consumes the push.  The update push judges its probe at the next
+  // barrier's demotion scan, the lock push at this node's release of the
+  // pushing lock (Node::lock_push_judge); a page still armed there is a dead
+  // push and its pusher is denied.
+  PushArm armed = PushArm::kNone;
   // Any fault on the page since the last barrier's demotion scan (cheap
   // proxy for "the reader still uses this data"; reads of a valid page are
-  // invisible, which is exactly what the armed probe exists to sample).
+  // invisible, which is exactly what the update probe exists to sample).
   bool push_touched = false;
 
-  // ---- migratory lock push, holder side (guarded by mu) ----
-  // Armed by a lock-grant push: contents current, page deliberately left
-  // unmapped so the next access faults once, locally — the probe proving
-  // this holder still touches the lock's protected pages.  Judged at this
-  // node's release of the pushing lock (Node::lock_push_judge): still armed
-  // there means the whole critical section ran without touching the page,
-  // and the pusher is denied.
-  bool lock_push_armed = false;
+  // Whether the diff cache holds every unapplied notice's chunks: only then
+  // may parked pushes be applied, since applying a suffix out of lamport
+  // order could resurrect overwritten bytes.
+  bool cache_covers_unapplied() const {
+    return std::all_of(unapplied.begin(), unapplied.end(),
+                       [&](const UnappliedNotice& n) {
+                         return diff_cache.lookup(n.writer, n.seq) != nullptr;
+                       });
+  }
 };
 
 }  // namespace now::tmk

@@ -7,6 +7,7 @@
 // fault handler".
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -56,11 +57,21 @@ class RpcClient {
     return seq;
   }
 
-  sim::Message wait(std::uint64_t seq) {
+  sim::Message wait(std::uint64_t seq) { return *wait_unless(seq, nullptr); }
+
+  // Like wait(), but returns nullopt as soon as `*wake` is set (rechecked
+  // after every nudge()); the request stays pending for a later wait.
+  std::optional<sim::Message> wait_unless(std::uint64_t seq,
+                                          const std::atomic<bool>* wake) {
     std::unique_lock<std::mutex> lock(mu_);
     auto it = pending_.find(seq);
     NOW_CHECK(it != pending_.end()) << "rpc wait without begin";
-    cv_.wait(lock, [&] { return poisoned_ || it->second.has_value(); });
+    auto woken = [&] {
+      return wake != nullptr && wake->load(std::memory_order_acquire);
+    };
+    cv_.wait(lock,
+             [&] { return poisoned_ || it->second.has_value() || woken(); });
+    if (!poisoned_ && !it->second.has_value()) return std::nullopt;
     if (!it->second.has_value()) {
       pending_.erase(it);
       throw NodeDownError(victim_);
@@ -86,6 +97,12 @@ class RpcClient {
       poisoned_ = true;
       victim_ = victim;
     }
+    cv_.notify_all();
+  }
+
+  // Wakes wait_unless() callers to recheck their flag (set it first).
+  void nudge() {
+    { std::lock_guard<std::mutex> lock(mu_); }
     cv_.notify_all();
   }
 

@@ -212,10 +212,13 @@ TEST(ConfigEnv, CrashKnobGatingAndExplicitAssignment) {
 // The channel the config implies: the retry budget must reach the wire
 // layer, and crash injection must force the reliability protocol plus
 // keepalive probes on — while a ckpt-only (or knobs-off) run keeps the
-// bypassed perfect wire that makes its message counts exact.
+// bypassed perfect wire that makes its message counts exact.  The blocks
+// asserting the bypassed wire pin a perfect one: the TMK_NET_* fault knobs
+// set the net_fault default, which would arm the channel on its own.
 TEST(ConfigEnv, CrashKnobsPlumbIntoChannelConfig) {
   {
     DsmConfig c;
+    c.net_fault = {};
     c.net_max_retries = 7;
     EXPECT_EQ(c.channel().max_retries, 7u);
     EXPECT_FALSE(c.channel().reliable);
@@ -232,6 +235,7 @@ TEST(ConfigEnv, CrashKnobsPlumbIntoChannelConfig) {
   }
   {
     DsmConfig c;
+    c.net_fault = {};
     c.ckpt_every = 4;
     EXPECT_FALSE(c.channel().reliable);
     EXPECT_EQ(c.channel().probe_idle_host_us, 0u);

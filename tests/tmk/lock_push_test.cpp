@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -255,6 +257,77 @@ TEST(LockPush, WholePageImageFallback) {
   EXPECT_EQ(pull, push);
   EXPECT_GT(s.lock_pages_pushed, 0u);
   EXPECT_GT(s.lock_push_hits, 0u);
+}
+
+// A whole-page image vouches for the granter's vector time, so it must not
+// be taken while a merge is half done.  Node 0 learns node 2's write over
+// lock 1 and is held, through the merge test seam, after merging node 2's
+// record and before posting its notice to the page.  Meanwhile node 0's
+// service thread grants lock 0 from its cache to node 1.  The grant's
+// delta carries node 2's record, and node 0's copy of the page still lacks
+// node 2's write: an image vouched for by the merged vector time would make
+// node 1 drop that notice and read the old word.
+TEST(LockPush, NoImageWhileAMergeIsPostingItsNotices) {
+  DsmRuntime rt(cfg(3, 16 * 1024));
+  std::mutex mu;
+  std::condition_variable cv;
+  bool admitted = false, written = false, merge_held = false,
+       read_done = false;
+  auto raise = [&](bool& flag) {
+    std::lock_guard<std::mutex> lock(mu);
+    flag = true;
+    cv.notify_all();
+  };
+  auto await = [&](bool& flag) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(30), [&] { return flag; });
+  };
+  std::atomic<bool> hold_next_merge{false};
+  rt.node(0).merge_posting_hook = [&] {
+    if (!hold_next_merge.exchange(false)) return;
+    raise(merge_held);
+    await(read_done);
+  };
+
+  std::uint64_t seen_own = 0, seen_foreign = 0, hits = 0;
+  rt.run_spmd([&](Tmk& tmk) {
+    gptr<std::uint64_t> page(kPageSize);
+    tmk.barrier();
+    if (tmk.id() == 2) {
+      // Only after node 0's critical section, so that node 0 learns this
+      // write from the lock 1 grant alone.
+      EXPECT_TRUE(await(admitted));
+      tmk.lock_acquire(1);
+      page[1] = 7;
+      tmk.lock_release(1);
+      raise(written);
+    } else if (tmk.id() == 0) {
+      // A critical section that touches the page admits it to lock 0's
+      // push set and leaves lock 0 cached here.
+      tmk.lock_acquire(0);
+      page[0] = 1;
+      tmk.lock_release(0);
+      raise(admitted);
+      EXPECT_TRUE(await(written));
+      hold_next_merge = true;
+      tmk.lock_acquire(1);  // held mid-merge until node 1 has read
+      tmk.lock_release(1);
+    } else {
+      EXPECT_TRUE(await(merge_held));
+      const std::uint64_t before = tmk.node.stats().lock_push_hits.load();
+      tmk.lock_acquire(0);
+      seen_own = page[0];
+      seen_foreign = page[1];
+      hits = tmk.node.stats().lock_push_hits.load() - before;
+      tmk.lock_release(0);
+      raise(read_done);
+    }
+    tmk.barrier();
+  });
+  EXPECT_TRUE(merge_held);
+  EXPECT_EQ(seen_own, 1u);
+  EXPECT_EQ(seen_foreign, 7u) << "node 2's write was lost under an image";
+  EXPECT_EQ(hits, 0u) << "a lock push landed for a half-posted merge";
 }
 
 // Interplay with barrier-GC floors: pushes keep flowing while barriers

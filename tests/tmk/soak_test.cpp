@@ -202,6 +202,35 @@ TEST(Soak, MigratoryChainWithLockPushPlateausAndPrunes) {
   }
 }
 
+// A node that has finished its share and parked at the closing barrier
+// learns no more records, while the exchange's floor is the minimum of every
+// node's knowledge and its ack the minimum of every validated floor.  Unless
+// the exchange hands the parked node the others' records, and the node keeps
+// applying departures while it waits, the busy nodes' footprint grows for
+// the rest of the run.  Here node 3 parks at once, by construction.
+TEST(Soak, NodeParkedAtABarrierKeepsTheCeiling) {
+  constexpr std::size_t kIters = 512;
+  constexpr std::size_t kStride = 16;
+  constexpr std::size_t kCeiling = 12 * 1024;
+  // Peaks sit near 12 KB; a busy node descheduled by the host stalls the
+  // ack for a while, and under heavy host load a rare peak reaches ~39 KB.
+  // Without the hand-off, or without the barrier-wait apply, every run
+  // ends above 65 KB.
+  constexpr std::size_t kSlack = 36 * 1024;
+
+  std::vector<NodeCurve> curves(4);
+  std::vector<std::uint64_t> mem;
+  DsmRuntime rt(soak_cfg(4, kCeiling));
+  rt.run_spmd([&](Tmk& tmk) {
+    soak_lock_loop(tmk, tmk.id() == 3 ? 0 : kIters, kStride, &curves, &mem);
+  });
+  ASSERT_FALSE(mem.empty());
+  EXPECT_EQ(mem[0], 1u + 3 * kIters);
+  EXPECT_GT(rt.total_stats().gc_exchanges, 0u);
+  for (std::uint32_t i = 0; i < 3; ++i)
+    EXPECT_LE(curves[i].peak, kCeiling + kSlack) << "node " << i;
+}
+
 // Mixed sync phases with no interior barrier: rotating lock critical
 // sections, a semaphore producer/consumer handoff and a periodic condvar
 // gate.  Floors must fold across nodes parked in sema_wait and cond_wait —
