@@ -75,13 +75,10 @@ LegResult run(const Leg& leg) {
   c.time.cpu_scale = 0.0;
   c.prefetch_pages = 4;
   c.gc_at_barriers = true;
-  c.gc_fork_join = true;
-  c.gc_lock_floors = true;
   c.lock_push_bytes = 0;
   c.update_mode = false;
   c.diff_cache_bytes_per_page = 16 * 1024;
   c.barrier_tree_arity = 0;
-  c.shard_managers = false;
   c.meta_ceiling_bytes = 0;
   // Explicit assignment overrides any TMK_NET_* env defaults: each leg
   // measures exactly the wire it names.

@@ -25,22 +25,18 @@ int main(int argc, char** argv) {
   // records and diff bytes the DSM versions reclaimed at barriers, the fetch
   // round trips they skipped because GC pinned or a fault prefetched the
   // diffs locally, and the neighbor pages those faults batched.  The columns
-  // follow the runtime configuration — with the cache (and therefore
-  // prefetch) compiled off-path the counters cannot move, so their rows are
-  // omitted rather than printed as misleading zeros.  Barrier-free
-  // applications (TSP's lock-only phases) legitimately reclaim nothing.
+  // follow the runtime configuration — with prefetch off its counters cannot
+  // move, so their rows are omitted rather than printed as misleading
+  // zeros.  Barrier-free applications (TSP's lock-only phases) legitimately
+  // reclaim nothing.
   const tmk::DsmConfig dsm = dsm_cfg(kNodes);
-  const bool cache_on = dsm.diff_cache_bytes_per_page > 0;
-  const bool prefetch_on = dsm.prefetch_window() > 0;
+  const bool prefetch_on = dsm.prefetch_pages > 0;
   const bool update_on = dsm.update_enabled();
   const bool lock_push_on = dsm.lock_push_enabled();
   const bool ceiling_on = dsm.on_demand_gc_enabled();
   std::vector<std::string> extra_head{"Application", "GcRec OpenMP", "GcRec Tmk",
-                                      "GcKB OpenMP", "GcKB Tmk"};
-  if (cache_on) {
-    extra_head.push_back("DCacheHit Tmk");
-    extra_head.push_back("KB saved Tmk");
-  }
+                                      "GcKB OpenMP", "GcKB Tmk",
+                                      "DCacheHit Tmk", "KB saved Tmk"};
   if (prefetch_on) {
     extra_head.push_back("PfBatched Tmk");
     extra_head.push_back("PfHit Tmk");
@@ -103,12 +99,9 @@ int main(int argc, char** argv) {
         name, Table::fmt(r.omp.dsm.gc_records_reclaimed),
         Table::fmt(r.tmk.dsm.gc_records_reclaimed),
         Table::fmt(static_cast<double>(r.omp.dsm.gc_diff_bytes_reclaimed) / 1024.0, 1),
-        Table::fmt(static_cast<double>(r.tmk.dsm.gc_diff_bytes_reclaimed) / 1024.0, 1)};
-    if (cache_on) {
-      row.push_back(Table::fmt(r.tmk.dsm.diff_cache_hits));
-      row.push_back(
-          Table::fmt(static_cast<double>(r.tmk.dsm.diff_cache_bytes_saved) / 1024.0, 1));
-    }
+        Table::fmt(static_cast<double>(r.tmk.dsm.gc_diff_bytes_reclaimed) / 1024.0, 1),
+        Table::fmt(r.tmk.dsm.diff_cache_hits),
+        Table::fmt(static_cast<double>(r.tmk.dsm.diff_cache_bytes_saved) / 1024.0, 1)};
     if (prefetch_on) {
       row.push_back(Table::fmt(r.tmk.dsm.prefetch_requests_batched));
       row.push_back(Table::fmt(r.tmk.dsm.prefetch_hits));
@@ -246,7 +239,7 @@ int main(int argc, char** argv) {
             << (update_on ? " — update mode is also on in the default config"
                 : "")
             << "; push promotes pages whose\n copyset is stable for "
-            << dsm.update_promote_epochs
+            << tmk::DsmConfig::update_promote_epochs
             << " epochs and pushes their diffs at the barrier.  TSP and"
                "\n QSORT never promote — zero pushes — so their pull/push"
                " deltas are the branch-and-\n bound / lock-race run-to-run"

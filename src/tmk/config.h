@@ -20,8 +20,9 @@ namespace detail {
 // Environment override for a config default (CI runs the whole test suite
 // under alternate protocol configurations, e.g. TMK_PREFETCH_PAGES=16).
 // Only the *default* is overridden: a test that assigns the field explicitly
-// keeps its value.  The parsers moved to common/env.h so simnet's
-// FaultConfig shares them; these aliases keep the historical call sites.
+// keeps its value.  The parsers and the list of knob names live in
+// common/env.h so simnet's FaultConfig shares them; these aliases keep the
+// historical call sites.
 using env::env_flag;
 using env::env_size;
 }  // namespace detail
@@ -54,26 +55,25 @@ struct DsmConfig {
   // code changes.
   bool gc_at_barriers = detail::env_flag("TMK_GC_AT_BARRIERS", true);
 
-  // Treat the fork that follows a join as a barrier-equivalent reclamation
-  // point: at join the master has merged every slave's records, so its full
-  // vector time is a sound GC floor for the whole cluster; the next kFork
-  // piggybacks it, each slave applies it (truncate + validate) on its compute
-  // thread before the region body runs, and own diff-store entries are
-  // reclaimed one reclamation point later exactly as at barriers.  This is
-  // what lets OpenMP fork/join programs (regions end in kJoin, not a Tmk
-  // barrier) reclaim knowledge logs and diff stores at all.  Default
-  // overridable via TMK_GC_FORK_JOIN.
-  bool gc_fork_join = detail::env_flag("TMK_GC_FORK_JOIN", true);
+  // The fork that follows a join is a barrier-equivalent reclamation point:
+  // at join the master has merged every slave's records, so its full vector
+  // time is a sound GC floor for the whole cluster; the next kFork
+  // piggybacks it, each slave applies it (truncate + validate) on its
+  // compute thread before the region body runs, and own diff-store entries
+  // are reclaimed one reclamation point later exactly as at barriers.  This
+  // is what lets OpenMP fork/join programs (regions end in kJoin, not a Tmk
+  // barrier) reclaim knowledge logs and diff stores at all.  Always on; the
+  // constant stays so configuration records can name it.
+  static constexpr bool gc_fork_join = true;
 
-  // Piggyback applied GC floors on the lock chain: kLockAcquire carries the
-  // requester's applied floor (the lock manager raises its sparse manager-log
-  // floor before serving first-grant deltas, exactly like the sema/cond
-  // paths), and kLockGrant carries the granter's (the requester raises its
-  // own knowledge-log floor if it somehow lags — floors only *propagate*
-  // here; they are established at barriers and forks, so own-diff
-  // reclamation bounds never move on the lock chain).  Default overridable
-  // via TMK_GC_LOCK_FLOORS.
-  bool gc_lock_floors = detail::env_flag("TMK_GC_LOCK_FLOORS", true);
+  // Applied GC floors ride the lock chain: kLockAcquire carries the
+  // requester's applied floor (the lock manager raises its sparse
+  // manager-log floor before serving first-grant deltas, exactly like the
+  // sema/cond paths), and kLockGrant carries the granter's (the requester
+  // raises its own knowledge-log floor if it somehow lags — floors only
+  // *propagate* here; they are established at barriers and forks, so
+  // own-diff reclamation bounds never move on the lock chain).  Always on.
+  static constexpr bool gc_lock_floors = true;
 
   // Migratory-data push on the lock-grant chain.  Each node tracks, per
   // lock, the *protected page set* — pages its compute thread faulted or
@@ -90,28 +90,24 @@ struct DsmConfig {
   // when the granter's knowledge dominates the requester's, so the image
   // can never clobber a concurrent writer's already-applied words).
   // 0 disables the push entirely.  Pushed chunks ride the requester-side
-  // diff cache keyed (writer, seq) — idempotent against a concurrent pull —
-  // so the push is inert while the cache is off.  Default overridable via
-  // TMK_LOCK_PUSH_BYTES.
+  // diff cache keyed (writer, seq), idempotent against a concurrent pull.
+  // Default overridable via TMK_LOCK_PUSH_BYTES.
   std::size_t lock_push_bytes = detail::env_size("TMK_LOCK_PUSH_BYTES", 0);
 
   // Consecutive critical sections of *this* holder that leave a protected
   // page untouched before it decays out of the lock's set.  Kept above
   // lock_push_reprobe so a read-only consumer (whose touches are only
   // visible on armed probe faults, every reprobe-th push) does not decay
-  // between probes.  Default overridable via TMK_LOCK_PUSH_PROBE.
-  std::uint32_t lock_push_probe = static_cast<std::uint32_t>(
-      detail::env_size("TMK_LOCK_PUSH_PROBE", 8));
+  // between probes.
+  static constexpr std::uint32_t lock_push_probe = 8;
 
   // Every Nth push of a page along the grant chain is applied *armed*
   // (contents current, page unmapped): the next holder's first access
   // faults once, locally, proving it still touches the page.  A page still
   // armed when that holder releases the lock was dead weight — the holder
   // denies the pusher (kLockPushDeny) and the page demotes from the set
-  // with exponential re-admission backoff.  Must be >= 1.  Default
-  // overridable via TMK_LOCK_PUSH_REPROBE.
-  std::uint32_t lock_push_reprobe = static_cast<std::uint32_t>(
-      detail::env_size("TMK_LOCK_PUSH_REPROBE", 4));
+  // with exponential re-admission backoff.
+  static constexpr std::uint32_t lock_push_reprobe = 4;
 
   // Adaptive hybrid invalidate/update protocol.  Writers track a per-page
   // *copyset* (every fault-path kDiffRequest served records the requester as
@@ -134,23 +130,19 @@ struct DsmConfig {
   // data: the reader sends the writers a kUpdateDeny and the page demotes
   // back to invalidate mode (irregular sharing — TSP, QSORT — stays on the
   // pull path).  Pushes ride the requester-side diff cache keyed by
-  // (writer, interval seq), so a racing pull-path fetch stays idempotent;
-  // update mode is therefore inert while the diff cache is disabled, and
-  // requires num_nodes <= 64 (copysets are bitmasks).  Default overridable
-  // via TMK_UPDATE_MODE.
+  // (writer, interval seq), so a racing pull-path fetch stays idempotent.
+  // Update mode requires num_nodes <= 64 (copysets are bitmasks).  Default
+  // overridable via TMK_UPDATE_MODE.
   bool update_mode = detail::env_flag("TMK_UPDATE_MODE", false);
 
   // Consecutive epochs a page's copyset must be stable before it is promoted
-  // to update mode.  Default overridable via TMK_UPDATE_PROMOTE_EPOCHS.
-  std::uint32_t update_promote_epochs = static_cast<std::uint32_t>(
-      detail::env_size("TMK_UPDATE_PROMOTE_EPOCHS", 2));
+  // to update mode.
+  static constexpr std::uint32_t update_promote_epochs = 2;
 
   // Every Nth push to a page is applied armed (liveness probe, see
   // update_mode): larger values skip more faults between probes but let a
-  // stale promotion push uselessly for longer.  Must be >= 1.  Default
-  // overridable via TMK_UPDATE_REPROBE_EPOCHS.
-  std::uint32_t update_reprobe_epochs = static_cast<std::uint32_t>(
-      detail::env_size("TMK_UPDATE_REPROBE_EPOCHS", 4));
+  // stale promotion push uselessly for longer.
+  static constexpr std::uint32_t update_reprobe_epochs = 4;
 
   // Multi-page prefetch on fault: when a fault sends a kDiffRequest, up to
   // this many neighboring invalid pages (the window [page+1, page+N]) with
@@ -160,22 +152,19 @@ struct DsmConfig {
   // so a strided traversal (Sweep3D planes, FFT transposes) pays one message
   // per window instead of one per page.  Prefetched entries go through the
   // budgeted FIFO PageDiffCache::insert: droppable, and transparently
-  // refetched by the real fault if evicted.  0 disables prefetch; it is also
-  // inert while the diff cache is disabled (prefetched chunks would have
-  // nowhere to live).  Default overridable via TMK_PREFETCH_PAGES.
+  // refetched by the real fault if evicted.  0 disables prefetch.  Default
+  // overridable via TMK_PREFETCH_PAGES.
   std::size_t prefetch_pages = detail::env_size("TMK_PREFETCH_PAGES", 4);
 
   // Per-page byte budget for the requester-side diff cache (already-fetched
-  // diff chunks kept so a refault never re-requests them); 0 disables it.
+  // diff chunks kept so a refault never re-requests them); must be > 0.
   // Barrier-time GC is its load-bearing consumer: the GC pass prefetches a
   // page's still-unapplied old diffs into the cache (pinned, never evicted)
   // so a post-GC fault is served locally after the writer reclaimed them.
   // Once a page's pinned bytes exceed this budget — a page written every
   // epoch but never read here — the GC pass applies the backlog and unpins
-  // it, so the cache stays bounded per page.  With the cache disabled, GC
-  // applies old diffs eagerly at every barrier instead (same bytes, but the
-  // page loses its lazy fault), and multi-page prefetch is inert.  Default
-  // overridable via TMK_DIFF_CACHE_BYTES.
+  // it, so the cache stays bounded per page.  Prefetched, pushed and relayed
+  // chunks park here too.  Default overridable via TMK_DIFF_CACHE_BYTES.
   std::size_t diff_cache_bytes_per_page =
       detail::env_size("TMK_DIFF_CACHE_BYTES", 16 * 1024);
 
@@ -212,17 +201,10 @@ struct DsmConfig {
   std::uint32_t barrier_tree_arity = static_cast<std::uint32_t>(
       detail::env_size("TMK_BARRIER_ARITY", 0));
 
-  // Shard lock/sema/cond manager placement by a mixing hash of the id
-  // instead of `id % num_nodes`.  Programs overwhelmingly number their
-  // synchronization objects densely from 0, so the modulo already spreads
-  // *counts* evenly — but it pins every hot low-numbered object (lock 0 is
-  // the work-queue lock in TSP and QSORT) onto the same low-numbered nodes
-  // that also root the barrier tree and serve allocations.  The hash
-  // decorrelates manager placement from id assignment so no node owns all
-  // migratory chains.  Off by default (the modulo is the paper's static
-  // placement); CI's treesync leg runs the whole suite with it on.  Default
-  // overridable via TMK_SHARD_MANAGERS.
-  bool shard_managers = detail::env_flag("TMK_SHARD_MANAGERS", false);
+  // Lock/sema/cond managers are placed statically by `id % num_nodes`, the
+  // paper's placement; the constant stays so configuration records can name
+  // it.
+  static constexpr bool shard_managers = false;
 
   // Lossy-wire chaos injection: seeded per-link drop / duplicate / reorder
   // / delay-jitter probabilities for every non-local transmission, all
@@ -289,26 +271,12 @@ struct DsmConfig {
 
   std::size_t num_pages() const { return heap_bytes / kPageSize; }
 
-  // The prefetch window actually in effect: prefetch rides on the diff
-  // cache, so it is off whenever the cache is.
-  std::size_t prefetch_window() const {
-    return diff_cache_bytes_per_page > 0 ? prefetch_pages : 0;
-  }
+  // Whether the adaptive update protocol is actually in effect: copyset
+  // bitmasks bound the node count.
+  bool update_enabled() const { return update_mode && num_nodes <= 64; }
 
-  // Whether the adaptive update protocol is actually in effect: pushes park
-  // in the requester-side diff cache (idempotency vs the pull path), so the
-  // protocol is inert while the cache is off, and copyset bitmasks bound the
-  // node count.
-  bool update_enabled() const {
-    return update_mode && diff_cache_bytes_per_page > 0 && num_nodes <= 64;
-  }
-
-  // Whether the migratory lock-grant push is actually in effect: pushed
-  // chunks park in the requester-side diff cache (idempotency vs the pull
-  // path), so the push is inert while the cache is off.
-  bool lock_push_enabled() const {
-    return lock_push_bytes > 0 && diff_cache_bytes_per_page > 0;
-  }
+  // Whether the migratory lock-grant push is in effect.
+  bool lock_push_enabled() const { return lock_push_bytes > 0; }
 
   // Whether the threshold-triggered on-demand GC exchange is in effect.
   bool on_demand_gc_enabled() const { return meta_ceiling_bytes > 0; }
@@ -344,13 +312,6 @@ struct DsmConfig {
       c.probe_type = static_cast<std::uint16_t>(kPing);
     }
     return c;
-  }
-
-  // Whether any reclamation point can ever establish a GC floor — gates the
-  // merge-time seeding of the validation-scan index (a floor that never
-  // moves would let the index grow without a consumer).
-  bool gc_floors_enabled() const {
-    return gc_at_barriers || gc_fork_join || on_demand_gc_enabled();
   }
 };
 

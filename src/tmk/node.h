@@ -140,7 +140,7 @@ class Node {
   // Applies the manager's piggybacked minimal vector time: truncates the
   // knowledge log and sent-caches to the floor, ensures every write notice at
   // or below it has its diff locally (pinned in the page diff cache, or
-  // applied eagerly when the cache is disabled), and reclaims own diff-store
+  // applied once a page's pins exceed its budget), and reclaims own diff-store
   // entries from the previous epoch's floor (one barrier delayed, so
   // in-flight validation fetches are always served).
   void gc_at_barrier(const VectorTime& floor);

@@ -182,7 +182,7 @@ void Node::merge_and_invalidate(const std::vector<IntervalRecordPtr>& recs) {
     std::this_thread::yield();
   // Seed the GC validation scan with the pages that just gained notices
   // (consumed whenever a floor is applied: barriers and fork points).
-  if (rt_.config().gc_floors_enabled()) {
+  {
     std::lock_guard<std::mutex> lock(gc_scan_mu_);
     gc_scan_pages_.insert(gc_scan_pages_.end(), pages.begin(), pages.end());
   }

@@ -383,8 +383,7 @@ void Node::update_validate_pushed(std::uint64_t barrier_index) {
                      return a.page < b.page;
                    });
 
-  const std::uint32_t reprobe =
-      std::max<std::uint32_t>(1, rt_.config().update_reprobe_epochs);
+  constexpr std::uint32_t reprobe = DsmConfig::update_reprobe_epochs;
   PushDenies deny;
   for (std::size_t i = 0; i < batch.size();) {
     const PageIndex page = batch[i].page;
@@ -430,7 +429,7 @@ void Node::update_validate_pushed(std::uint64_t barrier_index) {
 }
 
 void Node::update_copyset_fold(std::uint64_t epoch) {
-  const std::uint32_t promote = rt_.config().update_promote_epochs;
+  constexpr std::uint32_t promote = DsmConfig::update_promote_epochs;
   std::lock_guard<std::mutex> lock(copyset_mu_);
   for (auto it = copyset_.begin(); it != copyset_.end();) {
     PageCopyset& cs = it->second;
@@ -486,8 +485,7 @@ void Node::lock_push_fold(std::uint32_t lock_id) {
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
-  const std::uint32_t probe =
-      std::max<std::uint32_t>(1, rt_.config().lock_push_probe);
+  constexpr std::uint32_t probe = DsmConfig::lock_push_probe;
   std::lock_guard<std::mutex> lock(lock_protect_mu_);
   auto& prot = lock_protect_[lock_id];
   for (PageIndex pg : touched) {
@@ -627,8 +625,7 @@ void Node::append_lock_push(ByteWriter& w, std::uint32_t lock_id,
   ByteWriter pw;  // entries, counted as we go (npush is written first below)
   std::uint32_t npush = 0;
   std::size_t budget = cfg.lock_push_bytes;
-  const std::uint32_t reprobe =
-      std::max<std::uint32_t>(1, cfg.lock_push_reprobe);
+  constexpr std::uint32_t reprobe = DsmConfig::lock_push_reprobe;
   for (const Cand& c : cands) {
     PageEntry& e = pages_[c.page];
     std::lock_guard<std::mutex> lock(e.mu);

@@ -384,15 +384,14 @@ void Node::gc_validate_pages(const VectorTime& floor) {
   std::vector<sim::Message> replies;
   auto got = fetch_diffs(wants, replies, /*for_gc=*/true);
 
-  // Stash or apply.  The fetched chunks are pinned locally.  With the diff
-  // cache enabled the page stays invalid and lazy — the next fault applies
-  // them (the cache's first real hits) — until the page's pinned bytes
-  // exceed the budget, at which point the backlog is applied and unpinned
-  // right here, so a page nobody ever reads cannot accumulate pins forever.
-  // With the cache disabled, the old diffs are applied immediately.  Either
-  // way old notices lamport-precede anything learned after the barrier
-  // (their writers knew every reclaimed record when they created them), so
-  // applying the old prefix early is byte-identical to a later full apply.
+  // Stash or apply.  The fetched chunks are pinned locally and the page
+  // stays invalid and lazy — the next fault applies them (the cache's first
+  // real hits) — until the page's pinned bytes exceed the budget, at which
+  // point the backlog is applied and unpinned right here, so a page nobody
+  // ever reads cannot accumulate pins forever.  Old notices lamport-precede
+  // anything learned after the barrier (their writers knew every reclaimed
+  // record when they created them), so applying the old prefix early is
+  // byte-identical to a later full apply.
   for (PageWork& w : work) {
     PageEntry& e = pages_[w.page];
     std::lock_guard<std::mutex> lock(e.mu);
@@ -412,8 +411,7 @@ void Node::gc_validate_pages(const VectorTime& floor) {
                                diff_cache_total_bytes_);
       }
     }
-    if (cache_budget > 0 && e.diff_cache.bytes() <= cache_budget)
-      continue;  // stay lazy
+    if (e.diff_cache.bytes() <= cache_budget) continue;  // stay lazy
 
     // Everything old is pinned by now (this pass or an earlier one).
     apply_cached(w.page, e, w.old, /*retain=*/false);
@@ -678,7 +676,7 @@ std::uint32_t Node::consume_lock_grant(sim::Message& grant) {
   // which is the only mutator of the page diff caches — the same partition
   // invariant the fault path relies on.
   apply_lock_push(lock_id, grant.src, r);
-  if (rt_.config().gc_lock_floors) gc_raise_floor(floor);
+  gc_raise_floor(floor);
   // Retained relay chunks at or below the applied floor can never serve a
   // fault nor ride a future grant delta again: drop them here, on the chain
   // itself, so a rotating barrier-free loop's relay stock stays bounded.
@@ -812,7 +810,7 @@ void Node::on_lock_acquire(sim::Message&& m) {
   // before its next delta is cut, exactly like the sema/cond paths — this is
   // what lets lock-heavy phases reclaim manager-log records at all.
   const VectorTime floor = KnowledgeLog::deserialize_vt(r);
-  if (rt_.config().gc_lock_floors) mgr_gc_to(floor);
+  mgr_gc_to(floor);
   mgr_route_lock(lock_id, m.src, vt, m.arrive_ts_ns);
 }
 
@@ -1233,7 +1231,7 @@ void Node::fork_slaves(ForkFn fn, const void* arg, std::size_t arg_size) {
     m.payload = w.take();
     send_compute(std::move(m));
   }
-  if (rt_.config().gc_fork_join) gc_at_barrier(floor);
+  gc_at_barrier(floor);
 }
 
 void Node::join_slaves() {
@@ -1272,7 +1270,7 @@ bool Node::slave_serve_one(Tmk& tmk) {
   // The validation fetches are synchronous, so they are served before this
   // slave can run the region and join — which is what lets every node
   // reclaim its own ≤-previous-floor diffs at the *next* fork safely.
-  if (rt_.config().gc_fork_join) gc_at_barrier(fork_floor);
+  gc_at_barrier(fork_floor);
 
   fn(tmk, arg.data(), arg.size());
 

@@ -10,8 +10,21 @@
 
 namespace now::tmk {
 
+namespace {
+// Refuses what no run can mean, before any node exists: a TMK_* variable no
+// knob reads (deleted or mistyped), or a diff cache with no room — pinned
+// GC prefetches, pushes and the fault path's locally held chunks all park
+// there.
+const DsmConfig& checked(const DsmConfig& cfg) {
+  env::reject_unknown_knobs();
+  NOW_CHECK_GT(cfg.diff_cache_bytes_per_page, 0u)
+      << "diff_cache_bytes_per_page must be > 0";
+  return cfg;
+}
+}  // namespace
+
 DsmRuntime::DsmRuntime(DsmConfig cfg)
-    : cfg_(cfg),
+    : cfg_(checked(cfg)),
       topo_(cfg),
       arena_(cfg.num_nodes, cfg.heap_bytes),
       net_(cfg.num_nodes, cfg.net, cfg.channel()) {

@@ -125,7 +125,7 @@ class DsmRuntime {
   sim::Network& net() { return net_; }
   Node& node(std::uint32_t id) { return *nodes_[id]; }
 
-  // Manager placement, all of it: barrier tree, lock/sema shards, master
+  // Manager placement, all of it: barrier tree, lock/sema managers, master
   // and allocation duties.  No call site may assume node 0.
   const SyncTopology& topology() const { return topo_; }
 

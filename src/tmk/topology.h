@@ -3,17 +3,11 @@
 // The paper's TreadMarks uses fully static placement — node 0 owns the
 // barrier, allocation and fork/join, and lock/sema managers are assigned by
 // id.  This object is the single authority for all of it, so no call site
-// hardcodes node 0, and it adds the two placements the static scheme lacks
-// at scale:
-//
-//  - a static combining tree for barriers (heap-indexed, configurable
-//    arity): node i's children are [arity*i + 1, arity*i + arity], its
-//    parent (i - 1) / arity.  Arity 0 — or anything >= num_nodes - 1 —
-//    degenerates to the depth-1 flat tree, which *is* the centralized
-//    barrier, byte for byte;
-//  - hash-sharded lock/sema/cond managers (opt-in): a mixing hash
-//    decorrelates manager placement from the dense id numbering programs
-//    use, so hot object 0 does not always land on node 0.
+// hardcodes node 0, and it adds one placement the static scheme lacks at
+// scale: a static combining tree for barriers (heap-indexed, configurable
+// arity).  Node i's children are [arity*i + 1, arity*i + arity], its parent
+// (i - 1) / arity.  Arity 0 — or anything >= num_nodes - 1 — degenerates to
+// the depth-1 flat tree, which *is* the centralized barrier, byte for byte.
 #pragma once
 
 #include <algorithm>
@@ -28,8 +22,7 @@ class SyncTopology {
  public:
   explicit SyncTopology(const DsmConfig& cfg)
       : num_nodes_(cfg.num_nodes),
-        arity_(effective_arity(cfg.num_nodes, cfg.barrier_tree_arity)),
-        shard_(cfg.shard_managers) {}
+        arity_(effective_arity(cfg.num_nodes, cfg.barrier_tree_arity)) {}
 
   std::uint32_t num_nodes() const { return num_nodes_; }
   std::uint32_t arity() const { return arity_; }
@@ -90,12 +83,12 @@ class SyncTopology {
   std::uint32_t master_node() const { return 0; }
   std::uint32_t alloc_server() const { return 0; }
 
-  // ---- lock/sema/cond manager shards ----
+  // ---- lock/sema/cond managers: static, by id ----
   std::uint32_t lock_manager(std::uint32_t lock_id) const {
-    return place(lock_id, 0x9e3779b9u);
+    return lock_id % num_nodes_;
   }
   std::uint32_t sema_manager(std::uint32_t sema_id) const {
-    return place(sema_id, 0x85ebca6bu);
+    return sema_id % num_nodes_;
   }
 
  private:
@@ -106,24 +99,8 @@ class SyncTopology {
     if (arity == 0 || arity > flat) return flat;
     return arity;
   }
-  // 32-bit mixer (the murmur3/splitmix finalizer): full avalanche, so dense
-  // ids spread over nodes with no correlation to their numeric order.
-  static std::uint32_t mix32(std::uint32_t h) {
-    h ^= h >> 16;
-    h *= 0x7feb352du;
-    h ^= h >> 15;
-    h *= 0x846ca68bu;
-    h ^= h >> 16;
-    return h;
-  }
-  std::uint32_t place(std::uint32_t id, std::uint32_t salt) const {
-    if (!shard_) return id % num_nodes_;
-    return mix32(id ^ salt) % num_nodes_;
-  }
-
   std::uint32_t num_nodes_;
   std::uint32_t arity_;  // effective: in [1, num_nodes - 1], flat when == n-1
-  bool shard_;
 };
 
 }  // namespace now::tmk

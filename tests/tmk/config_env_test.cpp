@@ -1,12 +1,16 @@
 // detail::env_size / env_flag: the config-default override parser used by
 // every TMK_* environment knob.  Malformed values must fail loudly — a CI
 // matrix leg whose knob silently parsed as a prefix (or as 0) would
-// green-light a configuration that never actually ran.
+// green-light a configuration that never actually ran — and so must unknown
+// TMK_* names.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <iterator>
+#include <string_view>
 
-#include "tmk/config.h"
+#include "tmk/runtime.h"
 
 namespace now::tmk {
 namespace {
@@ -53,95 +57,50 @@ TEST(ConfigEnv, FlagParsesZeroAndNonzero) {
   EXPECT_FALSE(detail::env_flag(kVar, false));
 }
 
-// The lock-push and lock-chain/fork GC knobs ride the same hardened parser;
-// their env overrides must land in a freshly constructed DsmConfig.
-TEST(ConfigEnv, LockPushKnobsOverrideDefaults) {
+// The lock-push knob rides the same hardened parser; its env override must
+// land in a freshly constructed DsmConfig.  The push tuning and the fork and
+// lock-chain GC are fixed protocol properties, not knobs.
+TEST(ConfigEnv, LockPushKnobOverridesDefault) {
   EXPECT_EQ(DsmConfig{}.lock_push_bytes, 0u);  // default: push off
-  EXPECT_TRUE(DsmConfig{}.gc_fork_join);
-  EXPECT_TRUE(DsmConfig{}.gc_lock_floors);
-  {
-    ScopedEnv env("TMK_LOCK_PUSH_BYTES", "12288");
-    EXPECT_EQ(DsmConfig{}.lock_push_bytes, 12288u);
-    EXPECT_TRUE(DsmConfig{}.lock_push_enabled());
-  }
-  {
-    ScopedEnv env("TMK_LOCK_PUSH_PROBE", "5");
-    EXPECT_EQ(DsmConfig{}.lock_push_probe, 5u);
-  }
-  {
-    ScopedEnv env("TMK_LOCK_PUSH_REPROBE", "2");
-    EXPECT_EQ(DsmConfig{}.lock_push_reprobe, 2u);
-  }
-  {
-    ScopedEnv env("TMK_GC_FORK_JOIN", "0");
-    EXPECT_FALSE(DsmConfig{}.gc_fork_join);
-  }
-  {
-    ScopedEnv env("TMK_GC_LOCK_FLOORS", "0");
-    EXPECT_FALSE(DsmConfig{}.gc_lock_floors);
-  }
+  ScopedEnv env("TMK_LOCK_PUSH_BYTES", "12288");
+  EXPECT_EQ(DsmConfig{}.lock_push_bytes, 12288u);
+  EXPECT_TRUE(DsmConfig{}.lock_push_enabled());
+  static_assert(DsmConfig::gc_fork_join && DsmConfig::gc_lock_floors);
+  static_assert(DsmConfig::lock_push_probe > DsmConfig::lock_push_reprobe,
+                "a read-only consumer must not decay between armed probes");
 }
 
-// The sync-fabric knobs (combining-tree arity, manager sharding) ride the
-// same hardened parser: the CI treesync leg sets them as session defaults.
-TEST(ConfigEnv, SyncFabricKnobsOverrideDefaults) {
+// The sync-fabric knob (combining-tree arity) rides the same hardened
+// parser: the CI treesync leg sets it as a session default.
+TEST(ConfigEnv, SyncFabricKnobOverridesDefault) {
   EXPECT_EQ(DsmConfig{}.barrier_tree_arity, 0u);  // default: centralized/flat
-  EXPECT_FALSE(DsmConfig{}.shard_managers);
-  {
-    ScopedEnv env("TMK_BARRIER_ARITY", "2");
-    EXPECT_EQ(DsmConfig{}.barrier_tree_arity, 2u);
-  }
-  {
-    ScopedEnv env("TMK_SHARD_MANAGERS", "1");
-    EXPECT_TRUE(DsmConfig{}.shard_managers);
-  }
+  ScopedEnv env("TMK_BARRIER_ARITY", "2");
+  EXPECT_EQ(DsmConfig{}.barrier_tree_arity, 2u);
 }
 
-TEST(ConfigEnvDeathTest, RejectsMalformedSyncFabricKnobs) {
-  {
-    ScopedEnv env("TMK_BARRIER_ARITY", "two");
-    EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_BARRIER_ARITY");
-  }
-  {
-    ScopedEnv env("TMK_SHARD_MANAGERS", "on");
-    EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_SHARD_MANAGERS");
-  }
+TEST(ConfigEnvDeathTest, RejectsMalformedSyncFabricKnob) {
+  ScopedEnv env("TMK_BARRIER_ARITY", "two");
+  EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_BARRIER_ARITY");
 }
 
-// An explicit field assignment still beats the env default, and the push
-// stays gated on the diff cache.
-TEST(ConfigEnv, LockPushExplicitAssignmentAndCacheGate) {
+// An explicit field assignment still beats the env default.
+TEST(ConfigEnv, LockPushExplicitAssignment) {
   ScopedEnv env("TMK_LOCK_PUSH_BYTES", "12288");
   DsmConfig c;
   c.lock_push_bytes = 0;
   EXPECT_FALSE(c.lock_push_enabled());
-  DsmConfig d;
-  d.diff_cache_bytes_per_page = 0;
-  EXPECT_FALSE(d.lock_push_enabled());  // pushes would have nowhere to park
 }
 
 // The on-demand GC ceiling: off by default (unbounded metadata, matching
 // the original TreadMarks between reclamation points), armed by the env
-// knob, and counted as a floor producer the moment it is on.
+// knob.
 TEST(ConfigEnv, MetaCeilingKnobOverridesDefault) {
   EXPECT_EQ(DsmConfig{}.meta_ceiling_bytes, 0u);
   EXPECT_FALSE(DsmConfig{}.on_demand_gc_enabled());
-  {
-    ScopedEnv env("TMK_META_CEILING_BYTES", "262144");
-    DsmConfig c;
-    EXPECT_EQ(c.meta_ceiling_bytes, 262144u);
-    EXPECT_TRUE(c.on_demand_gc_enabled());
-    // The ceiling alone must enable GC floors even with every barrier-time
-    // and fork/join reclamation point off.
-    c.gc_at_barriers = false;
-    c.gc_fork_join = false;
-    c.gc_lock_floors = false;
-    EXPECT_TRUE(c.gc_floors_enabled());
-  }
-  DsmConfig off;
-  off.gc_at_barriers = false;
-  off.gc_fork_join = false;
-  EXPECT_FALSE(off.gc_floors_enabled());
+  ScopedEnv env("TMK_META_CEILING_BYTES", "262144");
+  DsmConfig c;
+  EXPECT_EQ(c.meta_ceiling_bytes, 262144u);
+  EXPECT_TRUE(c.on_demand_gc_enabled());
 }
 
 TEST(ConfigEnvDeathTest, RejectsMalformedMetaCeilingKnob) {
@@ -265,23 +224,69 @@ TEST(ConfigEnvDeathTest, RejectsMalformedCrashRecoveryKnobs) {
   }
 }
 
-TEST(ConfigEnvDeathTest, RejectsMalformedLockPushKnobs) {
+TEST(ConfigEnvDeathTest, RejectsMalformedLockPushKnob) {
   {
     ScopedEnv env("TMK_LOCK_PUSH_BYTES", "16k");
     EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_LOCK_PUSH_BYTES");
   }
   {
-    ScopedEnv env("TMK_LOCK_PUSH_PROBE", " 8");
-    EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_LOCK_PUSH_PROBE");
+    ScopedEnv env("TMK_LOCK_PUSH_BYTES", " 8");
+    EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_LOCK_PUSH_BYTES");
   }
   {
-    ScopedEnv env("TMK_GC_LOCK_FLOORS", "yes");
-    EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_GC_LOCK_FLOORS");
-  }
-  {
-    ScopedEnv env("TMK_GC_FORK_JOIN", "99999999999999999999999999");
+    ScopedEnv env("TMK_LOCK_PUSH_BYTES", "99999999999999999999999999");
     EXPECT_DEATH({ DsmConfig c; (void)c; }, "overflows");
   }
+}
+
+// Every TMK_* name the runtime reads is on one list, and the runtime
+// refuses to start under a TMK_* variable that is not: a deleted knob (one
+// a CI leg or a script may still set) or a typo would otherwise be silently
+// ignored and green-light a run that never used it.
+DsmConfig small_cfg() {
+  DsmConfig c;
+  c.num_nodes = 2;
+  c.heap_bytes = 1 << 20;
+  return c;
+}
+
+TEST(ConfigEnv, KnobListCoversEveryKnob) {
+  EXPECT_EQ(std::size(env::kKnobs), 17u);
+  for (std::string_view k : env::kKnobs) {
+    EXPECT_EQ(k.substr(0, 4), "TMK_") << k;
+    EXPECT_EQ(std::count(std::begin(env::kKnobs), std::end(env::kKnobs), k), 1)
+        << k;
+  }
+  EXPECT_FALSE(env::is_knob("TMK_SHARD_MANAGERS"));
+  // Empty counts as unset, for the unknown-name check as for the parsers.
+  ScopedEnv env("TMK_SHARD_MANAGERS", "");
+  DsmRuntime rt(small_cfg());
+}
+
+TEST(ConfigEnvDeathTest, RejectsRemovedKnob) {
+  ScopedEnv env("TMK_SHARD_MANAGERS", "1");
+  EXPECT_DEATH({ DsmRuntime rt(small_cfg()); },
+               "unknown environment knob TMK_SHARD_MANAGERS");
+}
+
+TEST(ConfigEnvDeathTest, RejectsMistypedKnob) {
+  ScopedEnv env("TMK_PREFETCH_PAGE", "16");
+  EXPECT_DEATH({ DsmRuntime rt(small_cfg()); },
+               "unknown environment knob TMK_PREFETCH_PAGE");
+}
+
+// A TMK_* read that is missing from the list fails at the read itself.
+TEST(ConfigEnvDeathTest, RejectsReadOfUnlistedKnob) {
+  EXPECT_DEATH(detail::env_size("TMK_NOT_A_KNOB", 0),
+               "TMK_NOT_A_KNOB is read but missing from env::kKnobs");
+}
+
+// The diff cache is where GC pins, prefetches and pushes park; a run
+// without one is refused rather than quietly taking another protocol path.
+TEST(ConfigEnvDeathTest, RejectsDisabledDiffCache) {
+  DsmConfig c = small_cfg();
+  c.diff_cache_bytes_per_page = 0;
+  EXPECT_DEATH({ DsmRuntime rt(c); }, "diff_cache_bytes_per_page must be > 0");
 }
 
 TEST(ConfigEnvDeathTest, RejectsTrailingGarbage) {

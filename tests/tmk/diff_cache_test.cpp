@@ -315,7 +315,7 @@ TEST(DiffCacheProtocol, SimulatedMetricsUnchangedByCache) {
     stats_on = rt.total_stats();
   }
   {
-    DsmConfig c = cfg(4, 0);  // cache disabled
+    DsmConfig c = cfg(4, 1);  // a budget no chunk fits in
     c.net_fault = {};
     c.net_reliable = false;
     DsmRuntime rt(c);
@@ -326,7 +326,7 @@ TEST(DiffCacheProtocol, SimulatedMetricsUnchangedByCache) {
   }
   // No notice is ever learned twice in the current protocol, so with both
   // deliberate consumers (GC, prefetch) off the cache must neither hit nor
-  // change a single simulated metric.
+  // change a single simulated metric against a cache that can hold nothing.
   EXPECT_EQ(stats_on.diff_cache_hits, 0u);
   EXPECT_EQ(stats_on.diff_cache_bytes_saved, 0u);
   EXPECT_EQ(stats_on.prefetch_hits, 0u);

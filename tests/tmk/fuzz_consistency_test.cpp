@@ -2,8 +2,9 @@
 // N nodes through random mixes of data-race-free reads, writes, barriers and
 // lock-protected read-modify-writes over a shared region, and the final
 // region contents are compared byte-for-byte across the full protocol config
-// matrix {update on/off} x {prefetch 0/4} x {gc_at_barriers on/off} x
-// {diff cache on/off}, plus wide-prefetch (16) and lock-push legs.
+// matrix {update on/off} x {prefetch 0/4} x {gc_at_barriers on/off}, plus
+// wide-prefetch (16), lock-push, combining-tree, GC-ceiling and lossy-wire
+// legs.
 // Every run is also checked against a sequentially replayed model, so "all
 // configs equally wrong" cannot slip through.  The seed is printed on
 // failure; replay a specific one with
@@ -104,11 +105,9 @@ std::size_t lo_counter_of(std::uint64_t seed, std::size_t e, std::size_t round,
 struct FuzzConfig {
   std::size_t prefetch;
   bool gc;
-  std::size_t cache_bytes;
   bool update;
   std::size_t lock_push;           // lock_push_bytes; 0 = off
   std::uint32_t arity = 0;         // barrier_tree_arity; 0 = centralized
-  bool shard = false;              // hash-sharded lock/sema managers
   std::size_t ceiling = 0;         // meta_ceiling_bytes; 0 = off
   // Lossy-wire legs: per-link fault rates fed to the simnet injector, with
   // the retransmission channel armed underneath.  The fault stream is
@@ -154,11 +153,10 @@ std::vector<std::uint64_t> run_fuzz(const FuzzConfig& fc, std::uint64_t seed,
   c.heap_bytes = 4 << 20;
   c.prefetch_pages = fc.prefetch;
   c.gc_at_barriers = fc.gc;
-  c.diff_cache_bytes_per_page = fc.cache_bytes;
+  c.diff_cache_bytes_per_page = 16 * 1024;
   c.update_mode = fc.update;
   c.lock_push_bytes = fc.lock_push;
   c.barrier_tree_arity = fc.arity;
-  c.shard_managers = fc.shard;
   c.meta_ceiling_bytes = fc.ceiling;
   c.time.cpu_scale = 0.0;
   // Chaos legs override whatever the TMK_NET_* env defaults injected (the
@@ -274,68 +272,56 @@ TEST(FuzzConsistency, ByteIdenticalAcrossConfigMatrix) {
   const std::size_t epochs = env_size("NOW_FUZZ_EPOCHS", 4);
 
   // Full cross at prefetch {0, 4}; the wide 16-page window re-tests the
-  // prefetch batching against each GC mode (cache-off legs would be
-  // redundant: prefetch is inert without the cache), so it rides as four
-  // extra legs instead of doubling the whole matrix.  Lock push likewise
-  // needs the cache, so its legs ride the cache-on cross of
+  // prefetch batching against each GC mode as four extra legs instead of
+  // doubling the whole matrix.  Lock push rides the cross of
   // {prefetch 0/4} x {gc on/off} plus two update-mode legs.
   std::vector<FuzzConfig> matrix;
   for (bool update : {false, true})
     for (std::size_t prefetch : {std::size_t{0}, std::size_t{4}})
       for (bool gc : {false, true})
-        for (std::size_t cache : {std::size_t{0}, std::size_t{16 * 1024}})
-          matrix.push_back({prefetch, gc, cache, update, 0});
+        matrix.push_back({prefetch, gc, update, 0});
   for (bool update : {false, true})
     for (bool gc : {false, true})
-      matrix.push_back({16, gc, 16 * 1024, update, 0});
+      matrix.push_back({16, gc, update, 0});
   for (std::size_t prefetch : {std::size_t{0}, std::size_t{4}})
     for (bool gc : {false, true})
-      matrix.push_back({prefetch, gc, 16 * 1024, false, 16 * 1024});
+      matrix.push_back({prefetch, gc, false, 16 * 1024});
   for (bool gc : {false, true})
-    matrix.push_back({4, gc, 16 * 1024, true, 16 * 1024});
-  // Combining-tree fabric legs, always with hash-sharded managers riding
-  // along: arity 2 (one combining point below the root at 4 nodes) and the
-  // arity-1 chain (every node a combining point, maximal depth — the
-  // worst case for a departure wave racing next-epoch arrivals), across GC
-  // modes; then the tree under each push protocol, whose barrier-indexed
-  // parking is exactly what the deeper fabric must not skew.
+    matrix.push_back({4, gc, true, 16 * 1024});
+  // Combining-tree fabric legs: arity 2 (one combining point below the root
+  // at 4 nodes) and the arity-1 chain (every node a combining point, maximal
+  // depth — the worst case for a departure wave racing next-epoch
+  // arrivals), across GC modes; then the tree under each push protocol,
+  // whose barrier-indexed parking is exactly what the deeper fabric must
+  // not skew.
   for (std::uint32_t arity : {1u, 2u})
     for (bool gc : {false, true})
-      matrix.push_back({4, gc, 16 * 1024, false, 0, arity, true});
-  matrix.push_back({0, true, 0, false, 0, 2, true});  // cache off + tree
-  matrix.push_back({4, true, 16 * 1024, true, 0, 2, true});
-  matrix.push_back({4, true, 16 * 1024, false, 16 * 1024, 1, true});
+      matrix.push_back({4, gc, false, 0, arity});
+  matrix.push_back({4, true, true, 0, 2});
+  matrix.push_back({4, true, false, 16 * 1024, 1});
   // On-demand ceiling legs: a tight 4KB ceiling forces GC exchanges in the
   // middle of the schedule (including mid lock-only stretches), alone, on
   // top of barrier GC, under the migratory lock push (whose relay chunks
-  // the exchange floor prunes), across the whole stack at once, and with
-  // the diff cache off (exchange floors with nowhere to pin prefetches).
-  matrix.push_back({0, false, 16 * 1024, false, 0, 0, false, 4096});
-  matrix.push_back({0, true, 16 * 1024, false, 0, 0, false, 4096});
-  matrix.push_back({0, false, 16 * 1024, false, 16 * 1024, 0, false, 4096});
-  matrix.push_back({4, true, 16 * 1024, true, 0, 2, true, 4096});
-  matrix.push_back({0, false, 0, false, 0, 0, false, 4096});
-  // Lossy-wire legs: each fault class alone at the issue's rates — drop 1%,
-  // dup 0.5%, reorder 1%, delay jitter — then all four at once riding the
-  // protocol combinations whose ordering assumptions a lossy wire attacks:
+  // the exchange floor prunes), and across the whole stack at once.
+  matrix.push_back({0, false, false, 0, 0, 4096});
+  matrix.push_back({0, true, false, 0, 0, 4096});
+  matrix.push_back({0, false, false, 16 * 1024, 0, 4096});
+  matrix.push_back({4, true, true, 0, 2, 4096});
+  // Lossy-wire legs: each fault class alone at the CI chaos leg's rates —
+  // drop 1%, dup 0.5%, reorder 1%, delay jitter — then all four at once
+  // riding the protocol combinations whose ordering assumptions a lossy wire attacks:
   // the migratory lock push (grant chain is the only consistency carrier),
-  // update mode (pushes racing barriers across links), the combining tree
-  // with sharded managers, and the GC ceiling (exchange floors mid-loss).
-  matrix.push_back({4, true, 16 * 1024, false, 0, 0, false, 0,
-                    10000, 0, 0, 0});
-  matrix.push_back({4, true, 16 * 1024, false, 0, 0, false, 0,
-                    0, 5000, 0, 0});
-  matrix.push_back({4, true, 16 * 1024, false, 0, 0, false, 0,
-                    0, 0, 10000, 0});
-  matrix.push_back({4, true, 16 * 1024, false, 0, 0, false, 0,
-                    0, 0, 0, 200'000});
-  matrix.push_back({4, true, 16 * 1024, false, 16 * 1024, 0, false, 0,
+  // update mode (pushes racing barriers across links), the combining tree,
+  // and the GC ceiling (exchange floors mid-loss).
+  matrix.push_back({4, true, false, 0, 0, 0, 10000, 0, 0, 0});
+  matrix.push_back({4, true, false, 0, 0, 0, 0, 5000, 0, 0});
+  matrix.push_back({4, true, false, 0, 0, 0, 0, 0, 10000, 0});
+  matrix.push_back({4, true, false, 0, 0, 0, 0, 0, 0, 200'000});
+  matrix.push_back({4, true, false, 16 * 1024, 0, 0,
                     10000, 5000, 10000, 200'000});
-  matrix.push_back({4, true, 16 * 1024, true, 0, 0, false, 0,
-                    10000, 5000, 10000, 200'000});
-  matrix.push_back({4, true, 16 * 1024, false, 0, 2, true, 0,
-                    10000, 5000, 10000, 200'000});
-  matrix.push_back({0, false, 16 * 1024, false, 0, 0, false, 4096,
+  matrix.push_back({4, true, true, 0, 0, 0, 10000, 5000, 10000, 200'000});
+  matrix.push_back({4, true, false, 0, 2, 0, 10000, 5000, 10000, 200'000});
+  matrix.push_back({0, false, false, 0, 0, 4096,
                     10000, 5000, 10000, 200'000});
 
   for (std::size_t s = 0; s < seeds; ++s) {
@@ -365,9 +351,8 @@ TEST(FuzzConsistency, ByteIdenticalAcrossConfigMatrix) {
     for (const FuzzConfig& fc : matrix) {
       SCOPED_TRACE(::testing::Message()
                    << "seed=" << seed << " prefetch=" << fc.prefetch
-                   << " gc=" << fc.gc << " cache=" << fc.cache_bytes
-                   << " update=" << fc.update << " lockpush=" << fc.lock_push
-                   << " arity=" << fc.arity << " shard=" << fc.shard
+                   << " gc=" << fc.gc << " update=" << fc.update
+                   << " lockpush=" << fc.lock_push << " arity=" << fc.arity
                    << " ceiling=" << fc.ceiling << " drop=" << fc.drop_ppm
                    << " dup=" << fc.dup_ppm << " reorder=" << fc.reorder_ppm
                    << " jitter=" << fc.jitter_ns
@@ -387,7 +372,7 @@ TEST(FuzzConsistency, RetransmitOverheadBounded) {
   const std::uint64_t seed = env_size("NOW_FUZZ_SEED_BASE", 20260730);
   const std::size_t epochs = env_size("NOW_FUZZ_EPOCHS", 4);
 
-  FuzzConfig clean{4, true, 16 * 1024, false, 0};
+  FuzzConfig clean{4, true, false, 0};
   clean.pin_wire = true;
   FuzzConfig lossy = clean;
   lossy.pin_wire = false;

@@ -284,8 +284,8 @@ TEST(CondVars, SignalWakesExactlyOne) {
 // registration is an unfaultable self-send, and with the manager on the
 // next holder's node the registration and the lock grant share one link,
 // whose restored FIFO already orders them.  So: nodes 0 and 1 ping-pong
-// strict turns through one condvar whose lock hashes to the bystanding
-// node 2 (unsharded managers: lock_id % num_nodes), over an aggressively
+// strict turns through one condvar whose lock is managed by the bystanding
+// node 2 (managers are placed by lock_id % num_nodes), over an aggressively
 // faulty pinned wire.  A single lost wakeup deadlocks the ping-pong
 // (caught by the ctest timeout); the turn counter pins that every wakeup
 // was the right one.

@@ -13,12 +13,11 @@
 namespace now::tmk {
 namespace {
 
-DsmConfig tree_cfg(std::uint32_t nodes, std::uint32_t arity, bool shard = false) {
+DsmConfig tree_cfg(std::uint32_t nodes, std::uint32_t arity) {
   DsmConfig c;
   c.num_nodes = nodes;
   c.heap_bytes = 4 << 20;
   c.barrier_tree_arity = arity;
-  c.shard_managers = shard;
   c.time.cpu_scale = 0.0;
   return c;
 }
@@ -64,34 +63,18 @@ TEST(SyncTopology, FlatTreeIsTheCentralizedBarrier) {
   EXPECT_EQ(one.critical_path_hops(), 0u);
 }
 
-TEST(SyncTopology, ShardHashSpreadsDenseIds) {
-  const SyncTopology mod(tree_cfg(8, 0, /*shard=*/false));
-  EXPECT_EQ(mod.lock_manager(0), 0u);  // the paper's static placement
-  EXPECT_EQ(mod.lock_manager(9), 1u);
-  const SyncTopology hash(tree_cfg(8, 0, /*shard=*/true));
-  // Deterministic, in range, and decorrelated from the id order: dense ids
-  // 0..15 must not map to node (id % 8) everywhere (that would mean the
-  // hash degenerated to the modulo and hot object 0 stays on node 0+tree
-  // root forever).
-  int moved = 0;
-  for (std::uint32_t id = 0; id < 16; ++id) {
-    const std::uint32_t n = hash.lock_manager(id);
-    EXPECT_LT(n, 8u);
-    EXPECT_EQ(n, hash.lock_manager(id));  // stable
-    if (n != id % 8) ++moved;
-  }
-  EXPECT_GT(moved, 4);
-  // Lock and sema spaces are salted apart.
-  bool differs = false;
-  for (std::uint32_t id = 0; id < 16 && !differs; ++id)
-    differs = hash.lock_manager(id) != hash.sema_manager(id);
-  EXPECT_TRUE(differs);
+TEST(SyncTopology, ManagersPlacedById) {
+  const SyncTopology t(tree_cfg(8, 2));  // the tree shape does not move them
+  EXPECT_EQ(t.lock_manager(0), 0u);     // the paper's static placement
+  EXPECT_EQ(t.lock_manager(9), 1u);
+  EXPECT_EQ(t.sema_manager(3), 3u);
+  EXPECT_EQ(t.sema_manager(15), 7u);
 }
 
 // Deterministic mini-workload shared by the equivalence tests: per epoch
 // every node writes its strided slice of the data pages, all cross-read
 // after the barrier, and half the nodes bump lock-guarded counters (so the
-// sharded managers and the grant chain are exercised too).
+// lock managers and the grant chain are exercised too).
 constexpr std::size_t kPages = 6;
 constexpr std::size_t kWordsPer = kPageSize / sizeof(std::uint64_t);
 constexpr std::size_t kWords = kPages * kWordsPer;
@@ -130,15 +113,13 @@ std::vector<std::uint64_t> run_workload(const DsmConfig& cfg) {
   return final_words;
 }
 
-// (c) The arity sweep: flat (centralized), chain, binary and 4-ary trees —
-// with and without sharded managers — all end byte-identical.
+// (c) The arity sweep: flat (centralized), chain, binary and 4-ary trees
+// all end byte-identical.
 TEST(TreeBarrier, AritySweepByteIdentical) {
   const auto centralized = run_workload(tree_cfg(8, 0));
   for (std::uint32_t arity : {1u, 2u, 4u, 8u}) {
-    for (bool shard : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << "arity=" << arity << " shard=" << shard);
-      EXPECT_EQ(run_workload(tree_cfg(8, arity, shard)), centralized);
-    }
+    SCOPED_TRACE(::testing::Message() << "arity=" << arity);
+    EXPECT_EQ(run_workload(tree_cfg(8, arity)), centralized);
   }
 }
 
