@@ -226,6 +226,62 @@ LockMigResult lock_migration(bool push_on, std::uint32_t nodes,
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// Host cost of the diff-fetching read fault: node 0 dirties a few words of
+// each of 64 pages, then node 1 reads one word per page, so each read is a
+// SIGSEGV whose handler fetches the page's diff from node 0 and applies it.
+// Host microseconds per fault are the best round's (scheduler noise only
+// adds); the mprotect calls per fault are deterministic, because node 0
+// idles in the barrier while node 1 reads.
+// ---------------------------------------------------------------------------
+
+struct FaultPathResult {
+  std::uint64_t faults = 0;
+  double host_us_per_fault = 0;
+  double mprotect_per_fault = 0;
+};
+
+FaultPathResult diff_fetch_fault_path(std::size_t pages, int rounds) {
+  auto c = micro_dsm(2);
+  c.prefetch_pages = 0;  // one fetch per fault
+  c.gc_at_barriers = false;
+  c.update_mode = false;
+  const std::size_t wpp = now::tmk::kPageSize / sizeof(std::uint64_t);
+  now::tmk::DsmRuntime rt(c);
+  FaultPathResult r;
+  double best_us = 1e30;
+  std::uint64_t calls = 0;
+  rt.run_spmd([&](now::tmk::Tmk& tmk) {
+    now::tmk::gptr<std::uint64_t> base(now::tmk::kPageSize);
+    volatile std::uint64_t sink = 0;
+    for (int round = 0; round < rounds; ++round) {
+      if (tmk.id() == 0)
+        for (std::size_t pg = 0; pg < pages; ++pg)
+          for (std::size_t k = 0; k < 8; ++k)
+            base[pg * wpp + k * 61] = round * 1000 + pg * 10 + k;
+      tmk.barrier();
+      if (tmk.id() == 1) {
+        const std::uint64_t faults0 = tmk.node.stats().read_faults.load();
+        const std::uint64_t calls0 = tmk.rt.arena().mprotect_calls();
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t pg = 0; pg < pages; ++pg) sink += base[pg * wpp];
+        const auto t1 = std::chrono::steady_clock::now();
+        const std::uint64_t faults = tmk.node.stats().read_faults.load() - faults0;
+        r.faults += faults;
+        calls += tmk.rt.arena().mprotect_calls() - calls0;
+        best_us = std::min(best_us,
+                           std::chrono::duration<double, std::micro>(t1 - t0).count() /
+                               static_cast<double>(faults));
+      }
+      tmk.barrier();
+    }
+  });
+  r.host_us_per_fault = best_us;
+  r.mprotect_per_fault =
+      static_cast<double>(calls) / static_cast<double>(r.faults);
+  return r;
+}
+
 SweepResult strided_sweep(std::size_t prefetch_pages, std::size_t pages) {
   auto c = micro_dsm(2);
   c.prefetch_pages = prefetch_pages;
@@ -325,7 +381,14 @@ int main(int argc, char** argv) {
               << ",\n    \"message_reduction\": "
               << Table::fmt(norm_ratio(lpull.messages, lpull.grants,
                                        lpush.messages, lpush.grants), 2)
-              << "\n  },\n  \"page_size\": " << tmk::kPageSize << "\n}\n";
+              << "\n  },\n";
+    // The diff-fetching read fault's host cost (ungated: it is host time)
+    // and its page-protection syscalls (gated exactly: deterministic).
+    const FaultPathResult fp = diff_fetch_fault_path(64, 5);
+    std::cout << "  \"fault_path\": {\"faults\": " << fp.faults
+              << ", \"host_us_per_fault\": " << Table::fmt(fp.host_us_per_fault, 2)
+              << ", \"mprotect_per_fault\": " << Table::fmt(fp.mprotect_per_fault, 2)
+              << "},\n  \"page_size\": " << tmk::kPageSize << "\n}\n";
     return 0;
   }
 
@@ -484,6 +547,16 @@ int main(int argc, char** argv) {
   dt.print(std::cout);
   std::cout << "(--json emits these numbers machine-readably for trajectory"
                " tracking)\n";
+
+  std::cout << "\n== diff-fetching read fault, host cost (2 nodes, 64 pages"
+               " x 5 rounds) ==\n";
+  {
+    const FaultPathResult fp = diff_fetch_fault_path(64, 5);
+    Table ft({"Faults", "Host us/fault (best round)", "mprotect/fault"});
+    ft.add_row({Table::fmt(fp.faults), Table::fmt(fp.host_us_per_fault, 1),
+                Table::fmt(fp.mprotect_per_fault, 2)});
+    ft.print(std::cout);
+  }
 
   std::cout << "\n== multi-page prefetch: strided sweep over 64 pages"
                " (2 nodes) ==\n";

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Perf-trajectory gate for the diff engine.
+"""Perf-trajectory gate for the diff engine and the protocol's fixed costs.
 
 Compares `bench_micro --json` output against the checked-in baseline
 (bench/baselines/diff_micro.json) and fails loudly when the fast/scalar
@@ -111,6 +111,25 @@ def main():
                 print("  WARN " + line)
             else:
                 print("  ok   " + line)
+
+    # Fault path: the diff-fetching read fault's page-protection syscalls per
+    # fault.  Node 0 idles while node 1 faults, so the count is
+    # deterministic and gated exactly; its host microseconds are reported
+    # but not gated (host time).
+    fault_base = baseline.get("fault_path") or {}
+    fault_meas = measured.get("fault_path") or {}
+    for name, want in fault_base.items():
+        if name not in fault_meas:
+            failures.append("fault_path metric %r missing from bench_micro "
+                            "output" % name)
+            continue
+        got = float(fault_meas[name])
+        line = "fault %-22s %6.2f  (baseline %.2f, exact)" % (name, got,
+                                                              float(want))
+        if got != float(want):
+            failures.append("FAULT-PATH DRIFT: " + line)
+        else:
+            print("  ok   " + line)
 
     # Sync-fabric scaling: per-node per-barrier fabric message load by node
     # count, from `bench_scaling --json` against baselines/sync_scaling.json.
@@ -367,6 +386,9 @@ def main():
             for name, base_case in baseline.get(section, {}).items():
                 if name in sec_measured:
                     base_case["value"] = round(float(sec_measured[name]), 2)
+        for name in fault_base:
+            if name in fault_meas:
+                fault_base[name] = float(fault_meas[name])
         for fname, fbase in sync_base.items():
             meas_pts = {int(p["nodes"]): p
                         for p in sync_meas.get(fname, {}).get("points", [])}

@@ -1,7 +1,9 @@
 #include "tmk/arena.h"
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <array>
 #include <atomic>
@@ -20,13 +22,26 @@ Arena::Arena(std::uint32_t num_nodes, std::size_t heap_bytes)
       total_bytes_(static_cast<std::size_t>(num_nodes) * heap_bytes) {
   NOW_CHECK_GT(num_nodes, 0u);
   NOW_CHECK_EQ(heap_bytes % kPageSize, 0u) << "heap size must be page aligned";
+  fd_ = ::memfd_create("now-dsm-arena", MFD_CLOEXEC);
+  NOW_CHECK(fd_ >= 0) << "memfd_create of shared arena failed: "
+                      << std::strerror(errno);
+  NOW_CHECK(::ftruncate(fd_, static_cast<off_t>(total_bytes_)) == 0)
+      << "ftruncate of shared arena to " << total_bytes_
+      << " bytes failed: " << std::strerror(errno);
   void* p = ::mmap(nullptr, total_bytes_, PROT_NONE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  NOW_CHECK(p != MAP_FAILED) << "mmap of shared arena failed";
+                   MAP_SHARED | MAP_NORESERVE, fd_, 0);
+  NOW_CHECK(p != MAP_FAILED) << "mmap of shared arena failed: "
+                             << std::strerror(errno);
   base_ = static_cast<std::uint8_t*>(p);
+  NOW_CHECK(::madvise(p, total_bytes_, MADV_DONTFORK) == 0)
+      << "madvise(MADV_DONTFORK) of shared arena failed: "
+      << std::strerror(errno);
 }
 
-Arena::~Arena() { ::munmap(base_, total_bytes_); }
+Arena::~Arena() {
+  ::munmap(base_, total_bytes_);
+  ::close(fd_);
+}
 
 std::uint32_t Arena::node_of(const void* addr) const {
   const auto off = static_cast<std::size_t>(static_cast<const std::uint8_t*>(addr) - base_);
@@ -78,6 +93,24 @@ void Arena::protect_range(std::uint32_t node, PageIndex first,
                    << ") failed: " << std::strerror(err) << enomem_hint(err);
 }
 
+void Arena::read_page(std::uint32_t node, PageIndex page,
+                      std::uint8_t* out) const {
+  const off_t off = static_cast<off_t>(page_ptr(node, page) - base_);
+  const ssize_t n = ::pread(fd_, out, kPageSize, off);
+  NOW_CHECK(n == static_cast<ssize_t>(kPageSize))
+      << "pread of node " << node << " page " << page
+      << " failed: " << std::strerror(errno);
+}
+
+void Arena::write_page(std::uint32_t node, PageIndex page,
+                       const std::uint8_t* data) const {
+  const off_t off = static_cast<off_t>(page_ptr(node, page) - base_);
+  const ssize_t n = ::pwrite(fd_, data, kPageSize, off);
+  NOW_CHECK(n == static_cast<ssize_t>(kPageSize))
+      << "pwrite of node " << node << " page " << page
+      << " failed: " << std::strerror(errno);
+}
+
 void Arena::reset_region(std::uint32_t node) const {
   std::uint8_t* base = region_base(node);
   if (::mprotect(base, heap_bytes_, PROT_NONE) != 0) {
@@ -85,9 +118,11 @@ void Arena::reset_region(std::uint32_t node) const {
     NOW_CHECK(false) << "region reset mprotect(PROT_NONE) of node " << node
                      << " failed: " << std::strerror(err) << enomem_hint(err);
   }
-  if (::madvise(base, heap_bytes_, MADV_DONTNEED) != 0) {
+  if (::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
+                  static_cast<off_t>(base - base_),
+                  static_cast<off_t>(heap_bytes_)) != 0) {
     const int err = errno;
-    NOW_CHECK(false) << "region reset madvise of node " << node
+    NOW_CHECK(false) << "region reset hole punch of node " << node
                      << " failed: " << std::strerror(err);
   }
 }

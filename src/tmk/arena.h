@@ -1,12 +1,22 @@
-// The shared-memory arena: one mmap carved into per-node regions, plus the
-// global registry that lets the process-wide SIGSEGV handler map a faulting
-// address back to (runtime, node, page).
+// The shared-memory arena: one memfd-backed mapping carved into per-node
+// regions, plus the global registry that lets the process-wide SIGSEGV
+// handler map a faulting address back to (runtime, node, page).
 //
 // Each simulated workstation owns a disjoint region; mprotect on that region
 // plays the role of the per-machine page table in real TreadMarks.  Page
 // contents start zero-filled on every node, which is exactly the TreadMarks
 // initial condition (shared heap starts zeroed everywhere, and consistency
 // tracks modifications only).
+//
+// The arena is one memfd of num_nodes * heap_bytes, mapped once MAP_SHARED.
+// Page protection guards only the application's accesses: the protocol's own
+// page I/O (diff applies, pushed images, checkpoint staging and
+// rehydration) goes through the file with read_page/write_page, which ignore
+// the mapping's protection.  So a diff-fetching fault pays one mprotect
+// (none -> read) instead of the none -> rw -> read pair, and the invariant
+// the protocol keeps is simply: a page is kInvalid exactly when its
+// application view is PROT_NONE.  There is deliberately no second,
+// always-writable mapping: every mapping of a page counts toward RSS again.
 #pragma once
 
 #include <atomic>
@@ -21,7 +31,9 @@ class DsmRuntime;
 
 class Arena {
  public:
-  // Maps num_nodes * heap_bytes of PROT_NONE anonymous memory.
+  // Creates the num_nodes * heap_bytes memfd and maps it PROT_NONE.  The
+  // mapping is MADV_DONTFORK: a forked child (a gtest death test) must not
+  // write into the parent's shared pages.
   Arena(std::uint32_t num_nodes, std::size_t heap_bytes);
   ~Arena();
   Arena(const Arena&) = delete;
@@ -45,7 +57,8 @@ class Arena {
   // One mprotect over `count` consecutive pages of one node's region, from
   // `first`.  Every page-state protection change of the protocol goes
   // through here (reset_region aside), so mprotect_calls() counts the
-  // simulator's page-table syscalls.
+  // simulator's page-table syscalls.  Only application-visible state changes
+  // call it; protocol writes into a page use write_page instead.
   void protect_range(std::uint32_t node, PageIndex first, std::size_t count,
                      Prot prot) const;
   void protect_none(std::uint32_t node, PageIndex page) const {
@@ -61,10 +74,18 @@ class Arena {
     return mprotect_calls_.load(std::memory_order_relaxed);
   }
 
+  // One page's bytes through the backing file (pread/pwrite of kPageSize at
+  // the page's offset), whatever the page's protection.  The caller holds
+  // the page's mutex, so no application access races the write: a page the
+  // protocol writes is kInvalid, hence PROT_NONE to the application.
+  void read_page(std::uint32_t node, PageIndex page, std::uint8_t* out) const;
+  void write_page(std::uint32_t node, PageIndex page,
+                  const std::uint8_t* data) const;
+
   // Crash recovery: returns one node's whole region to its initial state —
-  // PROT_NONE, contents zero on next touch — without committing memory
-  // (MADV_DONTNEED drops the resident pages; anonymous mappings refill with
-  // zeros lazily).  Only safe while no thread can fault into the region.
+  // PROT_NONE, contents zero — without committing memory (a hole punched in
+  // the file; MADV_DONTNEED would not zero a shared mapping).  Only safe
+  // while no thread can fault into the region.
   void reset_region(std::uint32_t node) const;
 
   std::uint8_t* page_ptr(std::uint32_t node, PageIndex page) const {
@@ -75,6 +96,7 @@ class Arena {
   std::uint32_t num_nodes_;
   std::size_t heap_bytes_;
   std::size_t total_bytes_;
+  int fd_;
   std::uint8_t* base_;
   mutable std::atomic<std::uint64_t> mprotect_calls_{0};
 };

@@ -261,8 +261,9 @@ class Node {
   // Applies `notices` from the page's diff cache in applies_before order
   // (sorting them in place) and bills diff_apply_per_kb_us.  Each entry is
   // released once applied, unless `retain` keeps a droppable one for the
-  // migratory relay; pins always release, as on the fault path.  Leaves the
-  // page mapped read-write.  Caller holds e.mu.
+  // migratory relay; pins always release, as on the fault path.  Patches
+  // the page through the arena's file, so it stays PROT_NONE.  Caller holds
+  // e.mu.
   void apply_cached(PageIndex page, PageEntry& e,
                     std::vector<UnappliedNotice>& notices, bool retain);
   // Lands a push whose content covers every unapplied notice: applies the

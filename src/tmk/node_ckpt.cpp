@@ -21,7 +21,6 @@
 // that image as the initial heap — for the consistency protocol this is
 // indistinguishable from a fresh run whose zero-filled heap happened to
 // contain the checkpoint bytes.
-#include <cstring>
 
 #include "common/bytes.h"
 #include "common/check.h"
@@ -94,20 +93,20 @@ void Node::ckpt_at_barrier(std::uint64_t epoch_done) {
     if (has_notices) fetch_and_apply(page, e);
 
     std::lock_guard<std::mutex> lock(e.mu);
-    bool temp_mapped = false;
+    const std::uint8_t* bytes = rt_.arena().page_ptr(id_, page);
+    std::uint8_t copy[kPageSize];
     if (e.state == PageState::kInvalid) {
       if (!e.ever_valid && e.armed == PushArm::kNone)
         continue;  // still the initial zero page: absent = zero in the store
       // Valid-but-unmapped contents (invalidated copy already re-applied, or
-      // an armed push): map readable just long enough to copy.
-      rt_.arena().protect_read(id_, page);
-      temp_mapped = true;
+      // an armed push): read them through the arena's file.
+      rt_.arena().read_page(id_, page, copy);
+      bytes = copy;
     }
-    if (store.put_page(abs_epoch, page, rt_.arena().page_ptr(id_, page)))
+    if (store.put_page(abs_epoch, page, bytes))
       ++staged;
     else
       ++unchanged;
-    if (temp_mapped) rt_.arena().protect_none(id_, page);
   }
   stats_.ckpt_bytes_written.fetch_add(staged * kPageSize,
                                       std::memory_order_relaxed);
@@ -179,8 +178,7 @@ void Node::rehydrate_page(PageIndex page, const unsigned char* data) {
   // held — the consistency protocol cannot tell the difference.
   PageEntry& e = pages_[page];
   std::lock_guard<std::mutex> lock(e.mu);
-  rt_.arena().protect_rw(id_, page);
-  std::memcpy(rt_.arena().page_ptr(id_, page), data, kPageSize);
+  rt_.arena().write_page(id_, page, data);
   rt_.arena().protect_read(id_, page);
   e.state = PageState::kReadOnly;
   e.ever_valid = true;

@@ -253,9 +253,14 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     const bool retain = rt_.config().lock_push_enabled() && !held_locks_.empty();
     std::vector<std::pair<const UnappliedNotice*, std::vector<DiffBytes>>> keep;
 
+    // The page stays PROT_NONE to the application throughout: the diffs are
+    // applied to a copy read through the arena's file and written back, so
+    // validation costs one mprotect (none -> read) below, not a rw/read pair.
     std::lock_guard<std::mutex> lock(e.mu);
-    rt_.arena().protect_rw(id_, page);
-    std::uint8_t* mem = rt_.arena().page_ptr(id_, page);
+    NOW_CHECK(e.state == PageState::kInvalid)
+        << "node " << id_ << " applies diffs to valid page " << page;
+    std::uint8_t mem[kPageSize];
+    rt_.arena().read_page(id_, page, mem);
     std::size_t patched = 0;
     std::uint64_t applied = 0;
     for (const auto& n : want) {
@@ -298,6 +303,7 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
         e.diff_cache.mark_relay(n.writer, n.seq);
       }
     }
+    rt_.arena().write_page(id_, page, mem);
     bool kept_any = false;
     for (auto& [n, owned] : keep) {
       if (e.diff_cache.insert(n->writer, n->seq, std::move(owned), cache_budget,
@@ -318,7 +324,8 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
     // above and by the barrier-GC validation pass.
 
     // Drop what we applied; the service thread may have appended more
-    // notices (a flush) while we were fetching — loop if so.
+    // notices (a flush) while we were fetching — loop if so, the page still
+    // kInvalid and PROT_NONE.
     e.unapplied.erase(e.unapplied.begin(),
                       e.unapplied.begin() + static_cast<std::ptrdiff_t>(want.size()));
     if (e.unapplied.empty()) {
@@ -327,8 +334,6 @@ void Node::fetch_and_apply(PageIndex page, PageEntry& e) {
       e.ever_valid = true;
       return;
     }
-    rt_.arena().protect_none(id_, page);
-    e.state = PageState::kInvalid;
   }
 }
 

@@ -6,7 +6,6 @@
 // interval, arm every few pushes as a liveness probe, and demote dead
 // pushes with a deny message.
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <tuple>
 
@@ -77,8 +76,8 @@ bool Node::park_pushed(PageIndex page, PageEntry& e,
 void Node::apply_cached(PageIndex page, PageEntry& e,
                         std::vector<UnappliedNotice>& notices, bool retain) {
   std::stable_sort(notices.begin(), notices.end(), applies_before);
-  rt_.arena().protect_rw(id_, page);
-  std::uint8_t* mem = rt_.arena().page_ptr(id_, page);
+  std::uint8_t mem[kPageSize];
+  rt_.arena().read_page(id_, page, mem);
   std::size_t patched = 0;
   std::uint64_t applied = 0;
   for (const UnappliedNotice& n : notices) {
@@ -93,6 +92,7 @@ void Node::apply_cached(PageIndex page, PageEntry& e,
     if (!retain || cached->pinned)
       e.diff_cache.erase(n.writer, n.seq, diff_cache_total_bytes_);
   }
+  rt_.arena().write_page(id_, page, mem);
   stats_.diffs_applied.fetch_add(applied, std::memory_order_relaxed);
   clock_.advance_us(rt_.config().diff_apply_per_kb_us *
                     (static_cast<double>(patched) / 1024.0));
@@ -101,8 +101,7 @@ void Node::apply_cached(PageIndex page, PageEntry& e,
 void Node::land_push(PageIndex page, PageEntry& e, PushArm by, bool arm,
                      const std::uint8_t* image) {
   if (image != nullptr) {
-    rt_.arena().protect_rw(id_, page);
-    std::memcpy(rt_.arena().page_ptr(id_, page), image, kPageSize);
+    rt_.arena().write_page(id_, page, image);
     stats_.diffs_applied.fetch_add(1, std::memory_order_relaxed);
     clock_.advance_us(rt_.config().diff_apply_per_kb_us *
                       (static_cast<double>(kPageSize) / 1024.0));
@@ -114,8 +113,7 @@ void Node::land_push(PageIndex page, PageEntry& e, PushArm by, bool arm,
   e.unapplied.clear();
   e.ever_valid = true;
   if (arm) {
-    rt_.arena().protect_none(id_, page);
-    e.armed = by;
+    e.armed = by;  // already kInvalid and PROT_NONE: the probe fault remaps it
   } else {
     rt_.arena().protect_read(id_, page);
     e.state = PageState::kReadOnly;

@@ -413,15 +413,16 @@ void Node::gc_validate_pages(const VectorTime& floor) {
     }
     if (e.diff_cache.bytes() <= cache_budget) continue;  // stay lazy
 
-    // Everything old is pinned by now (this pass or an earlier one).
+    // Everything old is pinned by now (this pass or an earlier one).  The
+    // copy is no longer the zero page, so a checkpoint must stage it.
     apply_cached(w.page, e, w.old, /*retain=*/false);
+    e.ever_valid = true;
     e.unapplied.erase(
         std::remove_if(e.unapplied.begin(), e.unapplied.end(),
                        [&](const UnappliedNotice& n) {
                          return n.seq <= floor[n.writer];
                        }),
-        e.unapplied.end());
-    rt_.arena().protect_none(id_, w.page);  // stays invalid: the fault is lazy
+        e.unapplied.end());  // the page stays invalid: the fault is lazy
   }
 }
 

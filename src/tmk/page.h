@@ -14,6 +14,11 @@
 
 namespace now::tmk {
 
+// A page is kInvalid exactly when its application view is PROT_NONE; the
+// protection changes only with the state, under the page's mutex.  The
+// protocol never widens protection to write a page: diff applies, pushed
+// images and rehydration go through Arena::write_page, so an invalid page
+// stays PROT_NONE while it is patched and a partial apply needs no re-close.
 enum class PageState : std::uint8_t {
   kInvalid,   // PROT_NONE; access faults and runs the fetch protocol
   kReadOnly,  // PROT_READ; a write will fault and start a new twin

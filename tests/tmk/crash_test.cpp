@@ -266,6 +266,42 @@ TEST(Crash, IncrementalCheckpointsStayNearWriteFootprint) {
   EXPECT_GT(s.ckpt_pages_incremental, 4 * s.ckpt_epochs);
 }
 
+// A page that only the barrier GC's over-budget apply brought up to date
+// (node 1 never reads it) is still staged: its local copy is no longer the
+// initial zero page, so leaving it out would roll it back to zeros.  Node 1
+// stages odd pages; the floor covers node 0's full-page write at the second
+// barrier, the GC pass applies it there, and the first checkpoint is at the
+// fourth.
+TEST(Crash, CheckpointStagesPageOnlyTheGcApplied) {
+  DsmConfig c = crash_cfg();
+  c.num_nodes = 2;
+  c.ckpt_every = 4;
+  c.gc_at_barriers = true;
+  c.diff_cache_bytes_per_page = 2048;  // below the full-page diff
+  c.meta_ceiling_bytes = 0;
+  c.prefetch_pages = 0;
+  c.update_mode = false;
+  c.lock_push_bytes = 0;
+  DsmRuntime rt(c);
+  std::uint64_t applied = 0;
+  RunReport report = rt.run_spmd([&](Tmk& tmk) {
+    gptr<std::uint8_t> p(kPageSize);  // page 1
+    if (tmk.id() == 0)
+      for (std::size_t i = 0; i < kPageSize; ++i)
+        p[i] = static_cast<std::uint8_t>(i | 1);
+    for (int b = 0; b < 4; ++b) tmk.barrier();
+    if (tmk.id() == 1) applied = tmk.node.stats().diffs_applied.load();
+  });
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(applied, 1u);  // by the GC pass: node 1 never faulted on it
+  EXPECT_EQ(rt.checkpoint().durable_epoch(), 4u);
+  const auto& pages = rt.checkpoint().pages();
+  const auto it = pages.find(1);
+  ASSERT_NE(it, pages.end()) << "page 1 left out of the checkpoint";
+  for (std::size_t i = 0; i < kPageSize; ++i)
+    ASSERT_EQ(it->second[i], static_cast<unsigned char>(i | 1)) << i;
+}
+
 // Crash *inside the on-demand GC exchange*: a barrier-sparse lock chain under
 // a tiny metadata ceiling keeps exchanges in flight, and the sweep indices
 // land on the victim's GC sites (parked-floor applies, exchange initiations)

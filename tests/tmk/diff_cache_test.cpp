@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <vector>
+
 #include "tmk/arena.h"
 #include "tmk/tmk.h"
 
@@ -246,6 +248,186 @@ TEST(PageRuns, CloseIntervalProtectsContiguousDirtyPagesInOneCall) {
   });
   EXPECT_GE(twins, kPages);  // every page really was dirty
   EXPECT_EQ(calls, 1u);
+}
+
+// The mprotect budget of validating a page.  Page protection guards only the
+// application's accesses; the protocol patches a page through the arena's
+// backing file while the page stays PROT_NONE.  So bringing a page up to
+// date costs one call (none -> read), whether a read fault fetches the
+// diffs, a push lands them or a checkpoint stages the page, and a page the
+// protocol patches but leaves invalid costs none.  Every knob that could
+// add protocol activity to these runs is pinned off.
+DsmConfig budget_cfg() {
+  DsmConfig c;
+  c.num_nodes = 2;
+  c.heap_bytes = 4 << 20;
+  c.time.cpu_scale = 0.0;
+  c.gc_at_barriers = false;
+  c.prefetch_pages = 0;
+  c.update_mode = false;
+  c.lock_push_bytes = 0;
+  c.meta_ceiling_bytes = 0;
+  c.ckpt_every = 0;
+  return c;
+}
+
+TEST(PageRuns, DiffFetchingReadFaultMakesOneMprotectCall) {
+  constexpr std::size_t kWords = kPageSize / sizeof(std::uint64_t);
+  DsmRuntime rt(budget_cfg());
+  std::uint64_t calls = 0, fetches = 0, wrong = 0;
+  rt.run_spmd([&](Tmk& tmk) {
+    gptr<std::uint64_t> page(kPageSize);
+    if (tmk.id() == 0)
+      for (std::size_t k = 0; k < kWords; k += 3) page[k] = k * 7 + 1;
+    tmk.barrier();
+    if (tmk.id() == 1) {  // node 0 idles in the barrier below meanwhile
+      const std::uint64_t fetches0 = tmk.node.stats().diff_fetches.load();
+      const std::uint64_t before = tmk.rt.arena().mprotect_calls();
+      volatile std::uint64_t first = page[0];  // the fault
+      (void)first;
+      calls = tmk.rt.arena().mprotect_calls() - before;
+      fetches = tmk.node.stats().diff_fetches.load() - fetches0;
+      for (std::size_t k = 0; k < kWords; ++k)
+        wrong += page[k] != (k % 3 == 0 ? k * 7 + 1 : 0);
+    }
+    tmk.barrier();
+  });
+  EXPECT_EQ(fetches, 1u);
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(wrong, 0u);
+}
+
+// Node 0 rewrites a page every epoch that node 1 never reads, so node 1's
+// GC pins pile up until the pass applies the backlog to the invalid page.
+// With a budget the pins never exceed, nothing is applied early; both runs
+// must make the same calls, since the early apply makes none.
+struct NeverReadRun {
+  std::uint64_t calls = 0;
+  std::uint64_t gc_applied = 0;  // diffs node 1 applied before its read
+  std::uint64_t wrong = 0;       // bytes of node 1's copy off the writer's
+};
+
+NeverReadRun never_read_run(std::size_t cache_budget) {
+  constexpr int kEpochs = 20;
+  DsmConfig c = budget_cfg();
+  c.gc_at_barriers = true;
+  c.diff_cache_bytes_per_page = cache_budget;
+  DsmRuntime rt(c);
+  std::vector<std::uint8_t> want(kPageSize, 0);
+  NeverReadRun r;
+  rt.run_spmd([&](Tmk& tmk) {
+    gptr<std::uint8_t> p(kPageSize);
+    for (int e = 0; e < kEpochs; ++e) {
+      if (tmk.id() == 0)
+        for (std::size_t i = 0; i < 700; ++i) {
+          const std::size_t at = (static_cast<std::size_t>(e) * 97 + i * 5) % kPageSize;
+          p[at] = static_cast<std::uint8_t>(e + i);
+          want[at] = static_cast<std::uint8_t>(e + i);
+        }
+      tmk.barrier();
+    }
+    if (tmk.id() == 1) {
+      r.gc_applied = tmk.node.stats().diffs_applied.load();
+      for (std::size_t i = 0; i < kPageSize; ++i) r.wrong += p[i] != want[i];
+    }
+    tmk.barrier();
+  });
+  r.calls = rt.arena().mprotect_calls();
+  return r;
+}
+
+TEST(PageRuns, OverBudgetGcApplyMakesNoMprotectCall) {
+  const NeverReadRun tight = never_read_run(2048);
+  const NeverReadRun roomy = never_read_run(1 << 20);
+  EXPECT_GT(tight.gc_applied, 0u);  // the over-budget apply really ran
+  EXPECT_EQ(roomy.gc_applied, 0u);
+  EXPECT_EQ(tight.calls, roomy.calls);
+  EXPECT_EQ(tight.wrong, 0u);
+  EXPECT_EQ(roomy.wrong, 0u);
+}
+
+// Producer-consumer under the update protocol: node 0 rewrites a page every
+// epoch and node 1 reads it.  An epoch's calls are node 0's write upgrade
+// and interval close, node 1's invalidation, and the one validation of
+// node 1's copy — by its read fault (a pull, or the probe fault of an armed
+// landing) or by a landing that validates outright.  An armed landing, and
+// a checkpoint staging an armed page, add nothing, so every epoch after the
+// first makes exactly 4 calls.  Node 1 samples the counter after its read,
+// while node 0 idles in the barrier.
+struct PushEpoch {
+  std::uint64_t calls = 0;       // counter after node 1's read
+  std::uint64_t read_calls = 0;  // calls made by node 1's read
+  std::uint64_t faults = 0;      // node 1's read faults so far
+  std::uint64_t push_hits = 0;   // node 1's update-push hits so far
+};
+
+std::vector<PushEpoch> producer_consumer_epochs(std::uint32_t ckpt_every,
+                                                std::uint64_t* wrong) {
+  constexpr std::size_t kEpochs = 16;
+  DsmConfig c = budget_cfg();
+  c.update_mode = true;
+  c.ckpt_every = ckpt_every;
+  DsmRuntime rt(c);
+  std::vector<PushEpoch> out;
+  rt.run_spmd([&](Tmk& tmk) {
+    gptr<std::uint64_t> page(kPageSize);
+    for (std::size_t e = 0; e < kEpochs; ++e) {
+      if (tmk.id() == 0)
+        for (std::size_t k = 0; k < 32; ++k) page[k] = e * 1000 + k;
+      tmk.barrier();
+      if (tmk.id() == 1) {
+        PushEpoch p;
+        const std::uint64_t before = tmk.rt.arena().mprotect_calls();
+        for (std::size_t k = 0; k < 32; ++k) *wrong += page[k] != e * 1000 + k;
+        p.calls = tmk.rt.arena().mprotect_calls();
+        p.read_calls = p.calls - before;
+        p.faults = tmk.node.stats().read_faults.load();
+        p.push_hits = tmk.node.stats().update_push_hits.load();
+        out.push_back(p);
+      }
+      tmk.barrier();
+    }
+  });
+  return out;
+}
+
+// Counts each kind of epoch after the first and checks its calls.
+struct EpochKinds {
+  int pulled = 0, validated = 0, armed = 0, staged = 0;
+};
+
+EpochKinds check_push_epochs(const std::vector<PushEpoch>& epochs) {
+  EpochKinds k;
+  for (std::size_t e = 1; e < epochs.size(); ++e) {
+    const bool fault = epochs[e].faults > epochs[e - 1].faults;
+    const bool hit = epochs[e].push_hits > epochs[e - 1].push_hits;
+    EXPECT_EQ(epochs[e].calls - epochs[e - 1].calls, 4u) << "epoch " << e;
+    EXPECT_EQ(epochs[e].read_calls, fault ? 1u : 0u) << "epoch " << e;
+    if (fault && hit) ++k.armed;   // landed armed; the read is the probe
+    else if (fault) ++k.pulled;    // the read fault fetched the diff
+    else if (hit) ++k.validated;   // the landing validated the page
+    else ++k.staged;               // the checkpoint fetched the diff
+  }
+  return k;
+}
+
+TEST(PageRuns, UpdatePushLandingsMakeNoExtraMprotectCall) {
+  std::uint64_t wrong = 0;
+  const EpochKinds k = check_push_epochs(producer_consumer_epochs(0, &wrong));
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_GT(k.pulled, 0);
+  EXPECT_GT(k.validated, 0);
+  EXPECT_GT(k.armed, 0);
+  EXPECT_EQ(k.staged, 0);
+}
+
+// Checkpoint staging at every barrier: an armed page is staged through the
+// arena's file, without mapping it.
+TEST(PageRuns, CheckpointStagingMakesNoMprotectCall) {
+  std::uint64_t wrong = 0;
+  const EpochKinds k = check_push_epochs(producer_consumer_epochs(1, &wrong));
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_GT(k.armed, 0);
 }
 
 // A failed mprotect names the node, the page range and errno, and on ENOMEM
