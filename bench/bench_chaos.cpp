@@ -10,12 +10,15 @@
 //   reliable — sequencing + acks on a clean wire: the protocol's zero-loss
 //              overhead (piggybacked acks are free; only idle-link
 //              standalone acks cost anything).
-//   drop1    — 1% of transmissions vanish: retransmit copies + acks.
+//   drop1    — 1% of transmissions vanish: retransmit copies + acks.  Most
+//              losses are found by a report (fast retransmit), the rest by
+//              the RTO timer; the JSON prints both.
 //   all      — drop 1% + dup 0.5% + reorder 1% + 200us jitter at once.
 //
 // Every leg must produce the same checksum — exactly-once delivery restores
 // byte identity no matter the wire.  check_trajectory.py gates the off-leg
-// identity and the drop-leg overhead ratio against the baselines file.
+// identity, the drop-leg overhead ratio and the drop leg's report-driven
+// recovery against the baselines file.
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -141,7 +144,8 @@ int chaos_json() {
     const LegResult r = run(leg);
     std::printf("%s      \"%s\": {\"messages\": %llu, \"payload_bytes\": %llu, "
                 "\"wire_bytes\": %llu, \"checksum\": %llu,\n"
-                "        \"retransmits\": %llu, \"dup_drops\": %llu, "
+                "        \"retransmits\": %llu, \"timer_retransmits\": %llu, "
+                "\"fast_retransmits\": %llu, \"dup_drops\": %llu, "
                 "\"reorder_holds\": %llu, \"acks_sent\": %llu, "
                 "\"ack_wire_bytes\": %llu}",
                 first ? "" : ",\n", leg.name,
@@ -150,6 +154,9 @@ int chaos_json() {
                 (unsigned long long)r.wire_bytes,
                 (unsigned long long)r.checksum,
                 (unsigned long long)r.chan.retransmits,
+                (unsigned long long)(r.chan.retransmits -
+                                     r.chan.fast_retransmits),
+                (unsigned long long)r.chan.fast_retransmits,
                 (unsigned long long)r.chan.dup_drops,
                 (unsigned long long)r.chan.reorder_holds,
                 (unsigned long long)r.chan.acks_sent,
@@ -168,18 +175,19 @@ int main(int argc, char** argv) {
 
   std::printf("== Lossy wire: retransmission overhead, %u nodes x %zu epochs ==\n",
               kNodes, kEpochs);
-  std::printf("%-10s %9s %11s %11s %8s %8s %7s %6s  %s\n", "leg", "messages",
-              "payload", "wire", "retrans", "dupdrop", "reohold", "acks",
-              "checksum");
+  std::printf("%-10s %9s %11s %11s %8s %6s %8s %7s %6s  %s\n", "leg",
+              "messages", "payload", "wire", "retrans", "fast", "dupdrop",
+              "reohold", "acks", "checksum");
   std::uint64_t off_wire = 0;
   for (const Leg& leg : legs()) {
     const LegResult r = run(leg);
     if (!std::strcmp(leg.name, "off")) off_wire = r.wire_bytes;
-    std::printf("%-10s %9llu %11llu %11llu %8llu %8llu %7llu %6llu  %llu",
+    std::printf("%-10s %9llu %11llu %11llu %8llu %6llu %8llu %7llu %6llu  %llu",
                 leg.name, (unsigned long long)r.messages,
                 (unsigned long long)r.payload_bytes,
                 (unsigned long long)r.wire_bytes,
                 (unsigned long long)r.chan.retransmits,
+                (unsigned long long)r.chan.fast_retransmits,
                 (unsigned long long)r.chan.dup_drops,
                 (unsigned long long)r.chan.reorder_holds,
                 (unsigned long long)r.chan.acks_sent,

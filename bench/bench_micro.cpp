@@ -63,44 +63,54 @@ std::vector<DiffCase> diff_cases() {
 using DiffFn = now::tmk::DiffBytes (*)(const std::uint8_t*, const std::uint8_t*,
                                        std::size_t, std::size_t);
 
-// Scan throughput in MB of page scanned per second.  Best-of-N repetitions:
-// the minimum time is the one least polluted by scheduler noise, which
-// matters on shared/loaded hosts where a single long timing window can be
-// preempted mid-measurement.
-double diff_throughput_mbps(DiffFn fn, const DiffCase& c) {
+struct DiffThroughput {
+  std::string name;
+  double scalar_mbps, fast_mbps;  // each engine's best rep
+  double speedup;                 // median of the per-rep paired ratios
+};
+
+// Scan throughput in MB of page scanned per second, for the scalar oracle
+// and the fast engine timed rep by rep in one loop, so host drift
+// (frequency steps, co-tenants) lands on both sides of a rep's ratio alike
+// instead of on whichever engine happened to run second.  The speedup is
+// the median of those paired ratios.  A ratio of per-side minima still
+// swung 3.8x-6.7x on one busy 4-core host, because the scalar byte loop
+// gains up to 50% in a quiet window that the fast engine cannot use; the
+// median of paired ratios held 5.4x-6.6x there.  Reps shorter than ~500
+// pages bias the ratio down: switching engines costs a fixed warm-up that
+// weighs more on the faster side.
+DiffThroughput measure_diff_case(const DiffCase& c) {
   using now::tmk::kPageSize;
-  constexpr int kWarmup = 500, kReps = 5, kItersPerRep = 2500;
+  constexpr int kWarmup = 500, kReps = 41, kItersPerRep = 500;
+  const DiffFn fns[2] = {&now::tmk::diff_create_scalar, &now::tmk::diff_create};
   std::size_t sink = 0;
-  for (int i = 0; i < kWarmup; ++i)
-    sink += fn(c.twin.data(), c.cur.data(), kPageSize, 8).size();
-  double best_secs = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kItersPerRep; ++i)
+  for (DiffFn fn : fns)
+    for (int i = 0; i < kWarmup; ++i)
       sink += fn(c.twin.data(), c.cur.data(), kPageSize, 8).size();
-    const auto t1 = std::chrono::steady_clock::now();
-    best_secs = std::min(best_secs, std::chrono::duration<double>(t1 - t0).count());
+  double best_secs[2] = {1e30, 1e30};
+  std::vector<double> ratios;
+  for (int rep = 0; rep < kReps; ++rep) {
+    double secs[2];
+    for (int side = 0; side < 2; ++side) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < kItersPerRep; ++i)
+        sink += fns[side](c.twin.data(), c.cur.data(), kPageSize, 8).size();
+      const auto t1 = std::chrono::steady_clock::now();
+      secs[side] = std::chrono::duration<double>(t1 - t0).count();
+      best_secs[side] = std::min(best_secs[side], secs[side]);
+    }
+    ratios.push_back(secs[0] / secs[1]);
   }
   // Keep the result observable so the loop cannot be optimized away.
   if (sink == static_cast<std::size_t>(-1)) std::abort();
-  return static_cast<double>(kItersPerRep) * kPageSize / (1024.0 * 1024.0) / best_secs;
+  std::nth_element(ratios.begin(), ratios.begin() + kReps / 2, ratios.end());
+  const double mb = static_cast<double>(kItersPerRep) * kPageSize / (1024.0 * 1024.0);
+  return {c.name, mb / best_secs[0], mb / best_secs[1], ratios[kReps / 2]};
 }
-
-struct DiffThroughput {
-  std::string name;
-  double scalar_mbps, fast_mbps;
-  double speedup() const { return fast_mbps / scalar_mbps; }
-};
 
 std::vector<DiffThroughput> measure_diff_throughput() {
   std::vector<DiffThroughput> out;
-  for (const DiffCase& c : diff_cases()) {
-    DiffThroughput r;
-    r.name = c.name;
-    r.scalar_mbps = diff_throughput_mbps(&now::tmk::diff_create_scalar, c);
-    r.fast_mbps = diff_throughput_mbps(&now::tmk::diff_create, c);
-    out.push_back(r);
-  }
+  for (const DiffCase& c : diff_cases()) out.push_back(measure_diff_case(c));
   return out;
 }
 
@@ -328,7 +338,7 @@ int main(int argc, char** argv) {
       std::cout << "    \"" << rows[i].name << "\": {\"scalar\": "
                 << Table::fmt(rows[i].scalar_mbps, 1)
                 << ", \"fast\": " << Table::fmt(rows[i].fast_mbps, 1)
-                << ", \"speedup\": " << Table::fmt(rows[i].speedup(), 2) << "}"
+                << ", \"speedup\": " << Table::fmt(rows[i].speedup, 2) << "}"
                 << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     const PushPullResult pull = producer_consumer(false, 16, 12);
@@ -543,7 +553,7 @@ int main(int argc, char** argv) {
   Table dt({"Case", "Scalar MB/s", "Word-at-a-time MB/s", "Speedup"});
   for (const auto& r : measure_diff_throughput())
     dt.add_row({r.name, Table::fmt(r.scalar_mbps, 0), Table::fmt(r.fast_mbps, 0),
-                Table::fmt(r.speedup(), 2) + "x"});
+                Table::fmt(r.speedup, 2) + "x"});
   dt.print(std::cout);
   std::cout << "(--json emits these numbers machine-readably for trajectory"
                " tracking)\n";

@@ -243,7 +243,10 @@ def main():
     #  - byte equality: every leg's checksum must equal the off leg's —
     #    exactly-once delivery may cost bytes, never change them;
     #  - overhead caps: reliable (clean wire) and drop1 (1% loss) wire
-    #    bytes stay under their configured multiples of the off leg.
+    #    bytes stay under their configured multiples of the off leg;
+    #  - non-vacuity: drop1 must retransmit at all, and (a count, not host
+    #    time) at least min_drop_fast_retransmits of those must be
+    #    report-driven fast retransmits.
     chaos_base = baseline.get("chaos_overhead") or {}
     chaos_meas = (measured.get("chaos_overhead") or {}).get("legs", {})
     if chaos_base:
@@ -294,6 +297,16 @@ def main():
                     int(chaos_meas["drop1"].get("retransmits", 0)) == 0:
                 failures.append("chaos drop1 leg recovered nothing — the fault "
                                 "injector is inert and the overhead gate vacuous")
+            min_fast = chaos_base.get("min_drop_fast_retransmits")
+            if min_fast is not None and "drop1" in chaos_meas:
+                got = int(chaos_meas["drop1"].get("fast_retransmits", 0))
+                line = "chaos drop1     fast retransmits %5d  (floor %d)" % (
+                    got, int(min_fast))
+                if got < int(min_fast):
+                    failures.append("INERT FAST RETRANSMIT: " + line +
+                                    " — every loss waited out the RTO timer")
+                else:
+                    print("  ok   " + line)
 
     # Checkpoint/rollback overhead: `bench_crash_recovery --json` against
     # baselines/crash_recovery.json.  Three gates:

@@ -30,8 +30,8 @@ inline constexpr std::string_view kKnobs[] = {
     "TMK_PREFETCH_PAGES",  "TMK_DIFF_CACHE_BYTES",   "TMK_META_CEILING_BYTES",
     "TMK_BARRIER_ARITY",   "TMK_NET_DROP_PPM",       "TMK_NET_DUP_PPM",
     "TMK_NET_REORDER_PPM", "TMK_NET_JITTER_NS",      "TMK_NET_FAULT_SEED",
-    "TMK_NET_RELIABLE",    "TMK_NET_MAX_RETRIES",    "TMK_NET_CRASH_NODE",
-    "TMK_NET_CRASH_AT",    "TMK_CKPT_EVERY",
+    "TMK_NET_MAX_RETRIES", "TMK_NET_CRASH_NODE",     "TMK_NET_CRASH_AT",
+    "TMK_CKPT_EVERY",
 };
 
 inline constexpr std::string_view kKnobPrefix = "TMK_";

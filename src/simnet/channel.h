@@ -15,15 +15,34 @@
 //    the faulty wire, before any protocol handler runs: every non-local
 //    message carries a per-link sequence number; the receiver dedups
 //    (`ch_seq <= delivered`), holds out-of-order arrivals until the gap
-//    fills, and acks cumulatively; the sender keeps unacked transmissions
-//    in a retransmit queue paced by *host* timers with exponential backoff
-//    (virtual clocks freeze while every thread blocks, so retransmission
-//    liveness cannot come from virtual time; the modeled cost of a loss is
-//    charged separately by re-stamping each retransmission's virtual send
-//    time one RTO later).  Acks piggyback on reverse traffic — any message
-//    or retransmission the other direction carries the cumulative ack for
-//    free — and a standalone ack message is sent only when the reverse
-//    link has been idle past a flush timeout.
+//    fills, and acks cumulatively.  Acks piggyback on reverse traffic; a
+//    standalone ack goes out only when the reverse link stays idle past a
+//    flush timeout.  The sender keeps unacked transmissions in a
+//    retransmit queue and recovers losses in three steps, all paced by
+//    *host* clocks (virtual clocks freeze while every thread blocks, so
+//    liveness cannot come from virtual time):
+//
+//     * Tail-loss probe (after RACK-TLP, RFC 8985).  When a link's newest
+//       transmission has sat unacked for PTO = rto_host_us / 4 with nothing
+//       sent after it, the sender sends one header-only ack that *requests*
+//       a report and names the highest sequence number sent.
+//     * Report.  A receiver answers a request at once with an ack that
+//       echoes that number, and also reports unasked the moment a gap
+//       first opens (a later packet arrived ahead of a missing one).  Per-
+//       link delivery is FIFO, so whatever the echoed number covers and the
+//       cumulative ack does not was lost (or is reordered).
+//     * Fast retransmit (after RFC 5681).  On a report the sender applies
+//       the cumulative ack and, if the front unacked entry is covered by the
+//       echo, re-sends it at once (at most once per PTO per entry).  A
+//       report whose ack covers everything drains the queue: a lost ack
+//       costs a header, not a payload.
+//
+//    An exponential-backoff RTO stays as the backstop, and only its
+//    expiries count toward max_retries, the node-down budget: a peer that
+//    answers reports is alive.  However a loss is found, the modeled cost
+//    is the same: each retransmission is re-stamped rto_virtual_ns after
+//    the previous attempt's virtual send time, so host pacing never moves
+//    virtual time.
 //
 // Channel sequencing costs nothing when disabled: Network bypasses this
 // module entirely and the wire is the same perfect wire as before.
@@ -77,6 +96,18 @@ struct FaultConfig {
     return drop_ppm != 0 || dup_ppm != 0 || reorder_ppm != 0 || jitter_ns != 0;
   }
 
+  // The draw of fault stream `stream` (1 drop, 2 dup, 3 reorder, 4 jitter)
+  // for the n-th transmission (from 1) on link src -> dst.
+  std::uint64_t draw(NodeId src, NodeId dst, std::uint64_t n,
+                     std::uint64_t stream) const {
+    const std::uint64_t link = (static_cast<std::uint64_t>(src) << 32) | dst;
+    const std::uint64_t base = fault_mix(seed ^ fault_mix(link) ^ n);
+    return fault_mix(base ^ (stream * 0x9e3779b97f4a7c15ULL));
+  }
+  bool drops(NodeId src, NodeId dst, std::uint64_t n) const {
+    return drop_ppm != 0 && draw(src, dst, n, 1) % 1000000 < drop_ppm;
+  }
+
   // The TMK_NET_* chaos knobs (config *defaults*, like every TMK_ knob:
   // code that assigns the field explicitly is immune).
   static FaultConfig from_env() {
@@ -105,14 +136,16 @@ struct ChannelConfig {
   std::uint16_t ack_type = 0;
   std::uint16_t num_msg_types = 0;
 
-  // Host-clock pacing of the maintenance loop.  The RTO backs off
-  // exponentially per retry; max_retries bounds it loudly — with every
-  // fault probability < 1, that many consecutive losses of the same packet
-  // means the protocol (not the wire) is broken.
-  // The RTO must comfortably exceed ack_flush + quantum + scheduling noise,
-  // or a busy host manufactures spurious retransmits of already-delivered
-  // messages (measured: 1ms RTO spuriously retransmitted ~20% of a clean
-  // wire's messages under parallel test load; 8ms is quiet).
+  // Host-clock pacing of the maintenance loop.  The RTO is the backstop
+  // and backs off exponentially per retry; max_retries bounds it loudly —
+  // with every fault probability < 1, that many consecutive losses of the
+  // same packet means the protocol (not the wire) is broken.  Most losses
+  // are found sooner, by a report (see the header): the tail-loss probe
+  // fires at PTO = rto_host_us / 4.  The RTO stays well above ack_flush +
+  // quantum + scheduling noise, because a timer retransmit always resends
+  // the payload (measured: 1ms RTO spuriously retransmitted ~20% of a
+  // clean wire's messages under parallel test load), while a probe whose
+  // report finds the data delivered costs two header-only acks.
   std::uint32_t quantum_host_us = 250;    // recv poll + maintenance period
   std::uint32_t rto_host_us = 8000;       // initial retransmit timeout
   std::uint32_t ack_flush_host_us = 500;  // reverse-link idle before a bare ack
@@ -172,8 +205,8 @@ class Channel {
   void send(Message&& m) {
     Endpoint& ep = *eps_[m.src];
     std::lock_guard<std::mutex> lock(ep.mu);
-    TxLink& tx = ep.tx[m.dst];
-    RxLink& rx = ep.rx[m.dst];
+    const NodeId dst = m.dst;
+    TxLink& tx = ep.tx[dst];
     if (tx.peer_dead) {
       // The peer was declared down: its mailbox is gone and every
       // retransmission would just re-exhaust.  Model the NIC dropping the
@@ -181,18 +214,10 @@ class Channel {
       stats_.down_link_drops.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    const auto now = Clock::now();
     if (cfg_.probe_idle_host_us != 0)
-      tx.probe_due =
-          Clock::now() + std::chrono::microseconds(cfg_.probe_idle_host_us);
-    m.ch_seq = ++tx.next_seq;
-    m.ch_ack = rx.delivered;
-    rx.ack_owed = false;  // this message carries the ack
-    TxEntry e;
-    e.msg = m;  // payload copy kept until acked
-    e.virtual_ts = m.send_ts_ns;
-    e.next_due = Clock::now() + std::chrono::microseconds(cfg_.rto_host_us);
-    tx.unacked.push_back(std::move(e));
-    wire_send(tx, std::move(m));
+      tx.probe_due = now + std::chrono::microseconds(cfg_.probe_idle_host_us);
+    transmit(ep, dst, std::move(m), now);
   }
 
   // Blocking channel-aware receive: pops raw wire arrivals, reassembles
@@ -238,6 +263,8 @@ class Channel {
     s.dups_injected = stats_.dups_injected.load(std::memory_order_relaxed);
     s.reorders_injected = stats_.reorders_injected.load(std::memory_order_relaxed);
     s.retransmits = stats_.retransmits.load(std::memory_order_relaxed);
+    s.fast_retransmits =
+        stats_.fast_retransmits.load(std::memory_order_relaxed);
     s.retransmit_wire_bytes =
         stats_.retransmit_wire_bytes.load(std::memory_order_relaxed);
     s.dup_drops = stats_.dup_drops.load(std::memory_order_relaxed);
@@ -255,6 +282,7 @@ class Channel {
     stats_.dups_injected.store(0, std::memory_order_relaxed);
     stats_.reorders_injected.store(0, std::memory_order_relaxed);
     stats_.retransmits.store(0, std::memory_order_relaxed);
+    stats_.fast_retransmits.store(0, std::memory_order_relaxed);
     stats_.retransmit_wire_bytes.store(0, std::memory_order_relaxed);
     stats_.dup_drops.store(0, std::memory_order_relaxed);
     stats_.reorder_holds.store(0, std::memory_order_relaxed);
@@ -277,11 +305,19 @@ class Channel {
  private:
   using Clock = std::chrono::steady_clock;
 
+  // Flags in Message::seq of an ack_type message (a field acks do not
+  // otherwise use, inside the modeled header: no extra wire bytes).  The
+  // low bits carry the sequence number a request names or a report echoes.
+  static constexpr std::uint64_t kAckRequest = 1ULL << 63;
+  static constexpr std::uint64_t kAckReport = 1ULL << 62;
+  static constexpr std::uint64_t kAckSeqMask = kAckReport - 1;
+
   struct TxEntry {
     Message msg;  // as stamped at first transmission
-    std::uint32_t retries = 0;
+    std::uint32_t retries = 0;     // timer expiries (the node-down budget)
     std::uint64_t virtual_ts = 0;  // virtual send time of the last attempt
-    Clock::time_point next_due;
+    Clock::time_point next_due;    // timer (RTO) expiry
+    Clock::time_point fast_ok{};   // earliest report-driven retransmit
   };
   struct TxLink {  // this node -> dst
     std::uint64_t next_seq = 0;
@@ -290,6 +326,8 @@ class Channel {
     std::optional<Message> limbo;  // reorder: held until the next transmission
     bool peer_dead = false;        // retransmit exhaustion verdict delivered
     Clock::time_point probe_due{};  // next keepalive, lazily armed
+    // Tail-loss probe: PTO after the newest transmission; max() once sent.
+    Clock::time_point tlp_due = Clock::time_point::max();
   };
   struct RxLink {  // src -> this node
     std::uint64_t delivered = 0;  // highest in-order ch_seq surfaced
@@ -310,6 +348,7 @@ class Channel {
     std::atomic<std::uint64_t> dups_injected{0};
     std::atomic<std::uint64_t> reorders_injected{0};
     std::atomic<std::uint64_t> retransmits{0};
+    std::atomic<std::uint64_t> fast_retransmits{0};
     std::atomic<std::uint64_t> retransmit_wire_bytes{0};
     std::atomic<std::uint64_t> dup_drops{0};
     std::atomic<std::uint64_t> reorder_holds{0};
@@ -339,14 +378,11 @@ class Channel {
       deliver(tx, std::move(m), 0, false);
       return;
     }
-    const std::uint64_t link =
-        (static_cast<std::uint64_t>(m.src) << 32) | m.dst;
-    const std::uint64_t base =
-        fault_mix(f.seed ^ fault_mix(link) ^ ++tx.fault_draws);
-    const auto draw = [base](std::uint64_t stream) {
-      return fault_mix(base ^ (stream * 0x9e3779b97f4a7c15ULL));
+    const std::uint64_t n = ++tx.fault_draws;
+    const auto draw = [&](std::uint64_t stream) {
+      return f.draw(m.src, m.dst, n, stream);
     };
-    if (f.drop_ppm != 0 && draw(1) % 1000000 < f.drop_ppm) {
+    if (f.drops(m.src, m.dst, n)) {
       stats_.drops_injected.fetch_add(1, std::memory_order_relaxed);
       return;  // vanished; a held reorder victim (if any) stays held
     }
@@ -394,8 +430,9 @@ class Channel {
       ep.ready.push_back(std::move(m));
       return;
     }
-    TxLink& tx = ep.tx[m.src];
-    RxLink& rx = ep.rx[m.src];
+    const NodeId src = m.src;
+    TxLink& tx = ep.tx[src];
+    RxLink& rx = ep.rx[src];
     // Cumulative ack for our own transmissions toward m.src (piggybacked on
     // every message, including duplicates and pure acks).
     while (!tx.unacked.empty() && tx.unacked.front().msg.ch_seq <= m.ch_ack)
@@ -403,8 +440,13 @@ class Channel {
     if (m.ch_seq == 0) {
       // Unsequenced: a standalone ack (consumed here) or a message sent
       // before the channel was enabled — surfaced as-is.
-      if (m.type == cfg_.ack_type) return;
-      ep.ready.push_back(std::move(m));
+      if (m.type != cfg_.ack_type) {
+        ep.ready.push_back(std::move(m));
+      } else if (m.seq & kAckRequest) {
+        send_ack(ep, node, src, kAckReport | (m.seq & kAckSeqMask));
+      } else if (m.seq & kAckReport) {
+        on_report(ep, src, m.seq & kAckSeqMask);
+      }
       return;
     }
     if (m.ch_seq <= rx.delivered) {
@@ -428,12 +470,29 @@ class Channel {
       return;
     }
     // Gap: a predecessor is missing (reordered or dropped).  Hold until it
-    // arrives or is retransmitted.
-    if (rx.held.emplace(m.ch_seq, std::move(m)).second)
+    // arrives or is retransmitted; the gap's first arrival reports at once.
+    const std::uint64_t seq = m.ch_seq;
+    const bool gap_opened = rx.held.empty();
+    if (rx.held.emplace(seq, std::move(m)).second)
       stats_.reorder_holds.fetch_add(1, std::memory_order_relaxed);
     else
       stats_.dup_drops.fetch_add(1, std::memory_order_relaxed);
-    owe_ack(rx);
+    if (gap_opened)
+      send_ack(ep, node, src, kAckReport | seq);
+    else
+      owe_ack(rx);
+  }
+
+  // Sender side of a report (ep.mu held, its cumulative ack applied): the
+  // front unacked entry, if the echo covers it, never arrived.
+  void on_report(Endpoint& ep, NodeId dst, std::uint64_t echoed) {
+    TxLink& tx = ep.tx[dst];
+    if (tx.unacked.empty()) return;
+    TxEntry& e = tx.unacked.front();
+    const auto now = Clock::now();
+    if (e.msg.ch_seq > echoed || now < e.fast_ok) return;
+    stats_.fast_retransmits.fetch_add(1, std::memory_order_relaxed);
+    retransmit(ep, dst, e, now);
   }
 
   // In-order release into the handler-visible queue.  Keepalive probes took
@@ -450,11 +509,12 @@ class Channel {
     rx.ack_due = Clock::now() + std::chrono::microseconds(cfg_.ack_flush_host_us);
   }
 
-  // Host-paced sender maintenance: retransmit overdue unacked transmissions
-  // (exponential backoff), emit keepalive probes on idle links, and flush
-  // acks whose reverse link stayed idle.  Node-down verdicts are collected
-  // under the lock and delivered after it drops: the handler pushes into
-  // other nodes' mailboxes, and no lock may be held across that.
+  // Host-paced sender maintenance: timer retransmits of overdue unacked
+  // transmissions (exponential backoff), tail-loss probes, keepalive probes
+  // on idle links, and flushes of acks whose reverse link stayed idle.
+  // Node-down verdicts are collected under the lock and delivered after it
+  // drops: the handler pushes into other nodes' mailboxes, and no lock may
+  // be held across that.
   void maintain(NodeId node) {
     std::vector<NodeId> dead;
     maintain_locked(node, dead);
@@ -490,22 +550,19 @@ class Channel {
         e.next_due = now + std::chrono::microseconds(
                                cfg_.rto_host_us
                                << std::min<std::uint32_t>(e.retries, 10));
-        e.virtual_ts += cfg_.rto_virtual_ns;
-        Message copy = e.msg;
-        copy.send_ts_ns = e.virtual_ts;
-        copy.ch_ack = ep.rx[dst].delivered;  // refreshed piggyback
-        ep.rx[dst].ack_owed = false;         // this is reverse traffic
-        stats_.retransmits.fetch_add(1, std::memory_order_relaxed);
-        stats_.retransmit_wire_bytes.fetch_add(
-            model_.wire_bytes(copy.payload.size()), std::memory_order_relaxed);
-        wire_send(tx, std::move(copy));
+        retransmit(ep, dst, e, now);
+      }
+      // Tail-loss probe: the newest transmission sat a PTO with nothing sent
+      // after it.  One request per tail; the next transmission re-arms it.
+      if (!tx.unacked.empty() && now >= tx.tlp_due) {
+        tx.tlp_due = Clock::time_point::max();
+        send_ack(ep, node, dst, kAckRequest | tx.next_seq);
       }
       // Keepalive probe on an idle active link (crash detection armed).
       // Built inline — send() takes ep.mu, which is already held — and only
       // while nothing is in flight: an unacked transmission already demands
       // an ack, so a probe would add nothing but wire noise.
-      if (cfg_.probe_idle_host_us != 0 && dst != node && !tx.peer_dead &&
-          tx.unacked.empty() &&
+      if (cfg_.probe_idle_host_us != 0 && dst != node && tx.unacked.empty() &&
           (tx.next_seq != 0 || ep.rx[dst].delivered != 0)) {
         if (tx.probe_due == Clock::time_point{}) {
           tx.probe_due =
@@ -513,41 +570,83 @@ class Channel {
         } else if (now >= tx.probe_due) {
           tx.probe_due =
               now + std::chrono::microseconds(cfg_.probe_idle_host_us);
+          // Probes never surface to a handler, so like pure acks they carry
+          // no plausible virtual time.
           Message p;
           p.type = cfg_.probe_type;
           p.src = node;
           p.dst = dst;
-          // Probes never surface to a handler, so like pure acks they carry
-          // no plausible virtual time.
-          p.ch_seq = ++tx.next_seq;
-          p.ch_ack = ep.rx[dst].delivered;
-          ep.rx[dst].ack_owed = false;  // the probe carries the ack
-          TxEntry e;
-          e.msg = p;
-          e.virtual_ts = 0;
-          e.next_due = now + std::chrono::microseconds(cfg_.rto_host_us);
-          tx.unacked.push_back(std::move(e));
           stats_.probes_sent.fetch_add(1, std::memory_order_relaxed);
-          wire_send(tx, std::move(p));
+          transmit(ep, dst, std::move(p), now);
         }
       }
     }
     for (NodeId src = 0; src < ep.rx.size(); ++src) {
       RxLink& rx = ep.rx[src];
-      if (!rx.ack_owed || now < rx.ack_due) continue;
-      rx.ack_owed = false;
-      Message a;
-      a.type = cfg_.ack_type;
-      a.src = node;
-      a.dst = src;
-      a.ch_ack = rx.delivered;
-      // Pure acks never surface to a handler, so their virtual timestamps
-      // advance no clock; stamp zero rather than invent a plausible time.
-      stats_.acks_sent.fetch_add(1, std::memory_order_relaxed);
-      stats_.ack_wire_bytes.fetch_add(model_.wire_bytes(0),
-                                      std::memory_order_relaxed);
-      wire_send(ep.tx[src], std::move(a));
+      if (rx.ack_owed && now >= rx.ack_due) send_ack(ep, node, src, 0);
     }
+  }
+
+  std::chrono::microseconds pto() const {
+    return std::chrono::microseconds(cfg_.rto_host_us / 4);
+  }
+
+  // First transmission of a sequenced message (ep.mu held): stamp the link
+  // sequence number, piggyback the reverse link's cumulative ack, keep a
+  // retransmit copy and arm the link's tail-loss probe.
+  void transmit(Endpoint& ep, NodeId dst, Message&& m, Clock::time_point now) {
+    TxLink& tx = ep.tx[dst];
+    RxLink& rx = ep.rx[dst];
+    m.ch_seq = ++tx.next_seq;
+    m.ch_ack = rx.delivered;
+    rx.ack_owed = false;  // this message carries the ack
+    TxEntry e;
+    e.msg = m;  // payload copy kept until acked
+    e.virtual_ts = m.send_ts_ns;
+    e.next_due = now + std::chrono::microseconds(cfg_.rto_host_us);
+    tx.unacked.push_back(std::move(e));
+    tx.tlp_due = now + pto();
+    wire_send(tx, std::move(m));
+  }
+
+  // Re-sends an unacked entry (ep.mu held), whether the timer or a report
+  // found the loss: either way it is re-stamped rto_virtual_ns later, the
+  // modeled recovery latency, and as the link's newest transmission it
+  // re-arms the tail-loss probe.
+  void retransmit(Endpoint& ep, NodeId dst, TxEntry& e, Clock::time_point now) {
+    TxLink& tx = ep.tx[dst];
+    RxLink& rx = ep.rx[dst];
+    e.virtual_ts += cfg_.rto_virtual_ns;
+    e.fast_ok = now + pto();
+    Message copy = e.msg;
+    copy.send_ts_ns = e.virtual_ts;
+    copy.ch_ack = rx.delivered;  // refreshed piggyback
+    rx.ack_owed = false;         // this is reverse traffic
+    stats_.retransmits.fetch_add(1, std::memory_order_relaxed);
+    stats_.retransmit_wire_bytes.fetch_add(
+        model_.wire_bytes(copy.payload.size()), std::memory_order_relaxed);
+    tx.tlp_due = now + pto();
+    wire_send(tx, std::move(copy));
+  }
+
+  // A header-only, unsequenced ack toward dst (ep.mu held): the cumulative
+  // ack, plus the request/report flags in `seq`.  Flushes, requests and
+  // reports are all standalone acks on the wire and count as such.  Pure
+  // acks never surface to a handler, so their virtual timestamps advance
+  // no clock; they stamp zero rather than invent a plausible time.
+  void send_ack(Endpoint& ep, NodeId node, NodeId dst, std::uint64_t flags) {
+    RxLink& rx = ep.rx[dst];
+    rx.ack_owed = false;
+    Message a;
+    a.type = cfg_.ack_type;
+    a.src = node;
+    a.dst = dst;
+    a.seq = flags;
+    a.ch_ack = rx.delivered;
+    stats_.acks_sent.fetch_add(1, std::memory_order_relaxed);
+    stats_.ack_wire_bytes.fetch_add(model_.wire_bytes(0),
+                                    std::memory_order_relaxed);
+    wire_send(ep.tx[dst], std::move(a));
   }
 
   ChannelConfig cfg_;

@@ -23,11 +23,14 @@ struct ChannelSnapshot {
   std::uint64_t dups_injected = 0;
   std::uint64_t reorders_injected = 0;
   // The protocol's reactions.
-  std::uint64_t retransmits = 0;           // timed-out transmissions re-sent
+  std::uint64_t retransmits = 0;           // transmissions re-sent, all causes
+  std::uint64_t fast_retransmits = 0;      // of which a report found the loss
+                                           // (the rest: RTO timer expiries)
   std::uint64_t retransmit_wire_bytes = 0;
   std::uint64_t dup_drops = 0;             // receiver-side dedup discards
   std::uint64_t reorder_holds = 0;         // held for a missing predecessor
-  std::uint64_t acks_sent = 0;             // standalone acks (idle reverse path)
+  std::uint64_t acks_sent = 0;             // standalone acks: idle-link flushes,
+                                           // tail-loss requests and reports
   std::uint64_t ack_wire_bytes = 0;
   // Node-crash detection (probe_idle_host_us > 0, i.e. crash injection armed).
   std::uint64_t probes_sent = 0;       // keepalive probes on idle links
@@ -44,6 +47,7 @@ struct ChannelSnapshot {
     dups_injected += o.dups_injected;
     reorders_injected += o.reorders_injected;
     retransmits += o.retransmits;
+    fast_retransmits += o.fast_retransmits;
     retransmit_wire_bytes += o.retransmit_wire_bytes;
     dup_drops += o.dup_drops;
     reorder_holds += o.reorder_holds;

@@ -222,8 +222,8 @@ struct DsmConfig {
 
   // Run the reliability channel even on a clean wire (sequencing, acks,
   // retransmit bookkeeping, no faults) — measures the protocol's zero-loss
-  // overhead.  Default overridable via TMK_NET_RELIABLE.
-  bool net_reliable = detail::env_flag("TMK_NET_RELIABLE", false);
+  // overhead.  Set as a field (bench_chaos's reliable leg); no env knob.
+  bool net_reliable = false;
 
   // Consecutive retransmissions of one packet before the channel gives a
   // verdict: without crash injection that verdict is a loud abort (the

@@ -100,12 +100,14 @@ enum MsgType : std::uint16_t {
   kGcArrive = 30,   // node -> parent: vt + validated floor (folded min)
   kGcDepart = 31,   // parent -> children: fresh floor + reclaim-ack floor
 
-  // Reliability channel (TMK_NET_RELIABLE / any TMK_NET_*_PPM fault knob).
-  // Standalone cumulative ack, sent by the channel layer only when the
-  // reverse link has been idle past the flush timeout (acks otherwise
-  // piggyback on reverse traffic for free).  Consumed inside the channel —
-  // a node's handler switch never sees one — but registered here so traffic
-  // breakdowns attribute the ack messages and bytes.
+  // Reliability channel (any TMK_NET_*_PPM fault knob, crash injection, or
+  // the net_reliable field).  Standalone cumulative ack, sent by the
+  // channel layer when the reverse link has been idle past the flush
+  // timeout (acks otherwise piggyback on reverse traffic for free), and as
+  // the tail-loss probe's request and the receiver's report.  Consumed
+  // inside the channel — a node's handler switch never sees one — but
+  // registered here so traffic breakdowns attribute the ack messages and
+  // bytes.
   kAck = 32,  // receiver -> sender: cumulative per-link ack, empty payload
 
   // Sent only when the reliability channel is armed: on a perfect wire a

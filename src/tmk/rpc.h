@@ -46,7 +46,9 @@ struct NodeCrashedError : std::runtime_error {
 // future wait must fail — the reply may simply never arrive.  poison()
 // wakes all waiters; a waiter whose reply already landed still gets it
 // (the data is valid and keeping it reduces divergence), everyone else
-// throws NodeDownError.
+// throws NodeDownError.  A reply can still be on the wire when its waiter
+// throws and erases the slot; once poisoned, fulfill() drops and counts
+// such a late reply instead of treating it as a protocol error.
 class RpcClient {
  public:
   std::uint64_t begin() {
@@ -85,10 +87,20 @@ class RpcClient {
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = pending_.find(seq);
+      if (it == pending_.end() && poisoned_) {
+        ++late_replies_;
+        return;
+      }
       NOW_CHECK(it != pending_.end()) << "unmatched rpc reply seq " << seq;
       it->second = std::move(m);
     }
     cv_.notify_all();
+  }
+
+  // Replies dropped because a poisoned wait had already given up on them.
+  std::uint64_t late_replies() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return late_replies_;
   }
 
   void poison(std::uint32_t victim) {
@@ -112,6 +124,7 @@ class RpcClient {
   std::uint64_t next_seq_ = 1;
   bool poisoned_ = false;
   std::uint32_t victim_ = 0;
+  std::uint64_t late_replies_ = 0;
   std::unordered_map<std::uint64_t, std::optional<sim::Message>> pending_;
 };
 

@@ -114,6 +114,137 @@ TEST(Channel, DropsRecoveredExactlyOnceInOrder) {
             kCount + t.chan.retransmits + t.chan.acks_sent);
 }
 
+// The first seed whose drop stream at 50% drops exactly the transmissions
+// marked true among the first few on each direction of link 0 <-> 1 (the
+// n-th entry is the n-th transmission, probes and acks included).  Pins a
+// loss scenario by construction, so the loss-recovery tests below assert
+// counts rather than host timing.
+std::uint64_t seed_dropping(const std::vector<bool>& fwd,
+                            const std::vector<bool>& rev) {
+  for (std::uint64_t seed = 1;; ++seed) {
+    FaultConfig f;
+    f.drop_ppm = 500000;
+    f.seed = seed;
+    bool match = true;
+    for (std::size_t n = 0; n < fwd.size(); ++n)
+      match = match && f.drops(0, 1, n + 1) == fwd[n];
+    for (std::size_t n = 0; n < rev.size(); ++n)
+      match = match && f.drops(1, 0, n + 1) == rev[n];
+    if (match) return seed;
+  }
+}
+
+// A long RTO (400 ms, so PTO = 100 ms) keeps the timer out of the tests
+// below: whatever recovers a loss within the test is the report path.
+ChannelConfig lossy_with_seed(std::uint64_t seed) {
+  ChannelConfig chan;
+  chan.fault.drop_ppm = 500000;
+  chan.fault.seed = seed;
+  chan.ack_type = 5;
+  chan.num_msg_types = 6;
+  chan.rto_host_us = 400'000;
+  return chan;
+}
+
+// Pumps both endpoints' maintenance until node 1 has surfaced `count`
+// messages and node 0's retransmit queue is empty; returns their seqs.
+std::vector<std::uint64_t> pump(Network& net, std::size_t count) {
+  std::vector<std::uint64_t> got;
+  while (got.size() < count || net.channel_unacked(0) != 0) {
+    if (auto m = net.try_recv(1)) got.push_back(m->seq);
+    EXPECT_FALSE(net.try_recv(0).has_value());  // acks never surface
+    breathe();
+  }
+  return got;
+}
+
+// A lone message lost at the tail: nothing sent after it exposes the gap,
+// so the sender's tail-loss probe asks for a report, and the report
+// triggers one fast retransmit — long before the RTO timer would fire.
+TEST(Channel, LoneTailLossRecoveredByProbeAndReport) {
+  // data dropped; request, fast retransmit pass / report, ack pass.
+  Network net(2, NetworkModel{},
+              lossy_with_seed(seed_dropping({true, false, false, false},
+                                            {false, false, false})));
+  auto m = make(0, 1, 1, 8);
+  m.seq = 42;
+  net.send(std::move(m));
+  EXPECT_EQ(pump(net, 1), std::vector<std::uint64_t>{42});
+  const auto t = net.traffic();
+  EXPECT_EQ(t.chan.drops_injected, 1u);
+  EXPECT_EQ(t.chan.fast_retransmits, 1u);
+  EXPECT_EQ(t.chan.retransmits, 1u);  // zero timer retransmits
+  EXPECT_GE(t.chan.acks_sent, 2u);    // at least the request and the report
+  EXPECT_EQ(t.messages_by_type[5], t.chan.acks_sent);
+  EXPECT_EQ(t.messages, 1 + t.chan.retransmits + t.chan.acks_sent);
+}
+
+// The first of two messages lost: the second opens a gap, the receiver
+// reports at once, and exactly one fast retransmit fills the gap.
+TEST(Channel, GapReportTriggersOneFastRetransmit) {
+  // first dropped; second, fast retransmit pass / gap report, ack pass.
+  ChannelConfig chan = lossy_with_seed(
+      seed_dropping({true, false, false, false}, {false, false, false}));
+  chan.rto_host_us = 4'000'000;  // PTO 1 s: no tail-loss probe in the way
+  Network net(2, NetworkModel{}, chan);
+  for (std::uint64_t i = 1; i <= 2; ++i) {
+    auto m = make(0, 1, 1, 8);
+    m.seq = i;
+    net.send(std::move(m));
+  }
+  EXPECT_EQ(pump(net, 2), (std::vector<std::uint64_t>{1, 2}));
+  const auto t = net.traffic();
+  EXPECT_EQ(t.chan.reorder_holds, 1u);
+  EXPECT_EQ(t.chan.fast_retransmits, 1u);
+  EXPECT_EQ(t.chan.retransmits, 1u);
+  EXPECT_EQ(t.chan.dup_drops, 0u);
+  EXPECT_EQ(t.chan.acks_sent, 2u);  // the gap report and the final ack
+}
+
+// A delivered message whose ack was lost: the tail-loss probe's report
+// carries the cumulative ack and drains the queue, with no payload re-sent.
+TEST(Channel, LostAckDrainedByReportWithoutPayloadRetransmit) {
+  // data, request pass / ack dropped; report passes.
+  Network net(2, NetworkModel{},
+              lossy_with_seed(seed_dropping({false, false, false},
+                                            {true, false, false})));
+  net.send(make(0, 1, 1, 8));
+  EXPECT_EQ(pump(net, 1).size(), 1u);
+  const auto t = net.traffic();
+  EXPECT_EQ(t.chan.drops_injected, 1u);
+  EXPECT_EQ(t.chan.retransmits, 0u);
+  EXPECT_EQ(t.chan.retransmit_wire_bytes, 0u);
+  EXPECT_EQ(t.chan.acks_sent, 3u);  // the lost ack, the request, the report
+  EXPECT_EQ(t.messages, 1 + t.chan.acks_sent);
+}
+
+// Toward a failed peer nothing answers a probe, so no report ever comes:
+// the node-down verdict still takes the full budget of timer expiries.
+TEST(Channel, NodeDownVerdictNeedsTheFullTimerBudget) {
+  ChannelConfig chan;
+  chan.reliable = true;
+  chan.ack_type = 5;
+  chan.num_msg_types = 6;
+  chan.rto_host_us = 2000;  // backoff 2 + 4 + 8 + 16 ms, then the verdict
+  chan.max_retries = 3;
+  Network net(2, NetworkModel{}, chan);
+  std::vector<NodeId> down;
+  net.set_node_down([&](NodeId n) { down.push_back(n); });
+  net.fail_node(1);
+
+  net.send(make(0, 1, 1, 8));
+  while (down.empty()) {
+    EXPECT_FALSE(net.try_recv(0).has_value());
+    breathe();
+  }
+  EXPECT_EQ(down, std::vector<NodeId>{1});
+  const auto t = net.traffic();
+  EXPECT_EQ(t.chan.retransmits, chan.max_retries);
+  EXPECT_EQ(t.chan.fast_retransmits, 0u);
+  EXPECT_GE(t.chan.acks_sent, 1u);  // tail-loss probes, never answered
+  EXPECT_EQ(t.chan.down_links, 1u);
+}
+
 // Every transmission duplicated: the receiver dedups, surfacing each
 // message once, and counts the discarded copies.
 TEST(Channel, DuplicatesDiscardedBySequenceDedup) {

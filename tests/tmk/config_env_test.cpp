@@ -251,13 +251,14 @@ DsmConfig small_cfg() {
 }
 
 TEST(ConfigEnv, KnobListCoversEveryKnob) {
-  EXPECT_EQ(std::size(env::kKnobs), 17u);
+  EXPECT_EQ(std::size(env::kKnobs), 16u);
   for (std::string_view k : env::kKnobs) {
     EXPECT_EQ(k.substr(0, 4), "TMK_") << k;
     EXPECT_EQ(std::count(std::begin(env::kKnobs), std::end(env::kKnobs), k), 1)
         << k;
   }
   EXPECT_FALSE(env::is_knob("TMK_SHARD_MANAGERS"));
+  EXPECT_FALSE(env::is_knob("TMK_NET_RELIABLE"));  // a field, not a knob
   // Empty counts as unset, for the unknown-name check as for the parsers.
   ScopedEnv env("TMK_SHARD_MANAGERS", "");
   DsmRuntime rt(small_cfg());

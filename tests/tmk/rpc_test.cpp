@@ -81,6 +81,25 @@ TEST(RpcClient, FulfilledReplySurvivesPoison) {
   EXPECT_EQ(rpc.wait(seq).send_ts_ns, 77u);
 }
 
+TEST(RpcClient, LateReplyAfterPoisonedWaitIsDroppedAndCounted) {
+  // The node-down verdict races the wire: a reply can arrive after its
+  // waiter has thrown and erased the slot.  Once poisoned, that reply is
+  // dropped and counted rather than aborting the process.
+  RpcClient rpc;
+  const std::uint64_t seq = rpc.begin();
+  rpc.poison(4);
+  EXPECT_THROW(rpc.wait(seq), NodeDownError);
+  rpc.fulfill(seq, msg(8, 99));
+  EXPECT_EQ(rpc.late_replies(), 1u);
+  EXPECT_THROW(rpc.begin(), NodeDownError);
+}
+
+TEST(RpcClientDeathTest, UnmatchedReplyWithoutPoisonAborts) {
+  // Without a node-down verdict an unmatched reply is a protocol bug.
+  RpcClient rpc;
+  EXPECT_DEATH(rpc.fulfill(12345, msg(8, 1)), "unmatched rpc reply seq 12345");
+}
+
 TEST(WaitSlot, DeliversInFifoOrder) {
   WaitSlot slot;
   slot.post(msg(1, 10));
